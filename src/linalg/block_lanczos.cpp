@@ -175,6 +175,7 @@ LanczosResult block_lanczos_smallest(const SymCsrMatrix& a,
   /// solver remains as a fallback when inverse iteration cannot certify
   /// the band eigenvectors; both paths are serial and deterministic.
   auto check = [&](const DenseMatrix* b_tail) -> bool {
+    ++result.ritz_checks;
     const std::size_t m = used;
     const std::size_t take = std::min(want, m);
     std::size_t bw = 0;

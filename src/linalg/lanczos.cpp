@@ -128,32 +128,37 @@ LanczosResult lanczos_largest_op(
   Vec v = random_unit_vector(n, rng);
   Vec w(n);
 
-  Tridiagonal t_conv;                 // scratch for convergence checks
-  DenseMatrix z_conv;                 // eigenvectors of T
-  bool ritz_valid = false;
-
   // Test hook: an armed "lanczos.force_nonconverge" fault makes this whole
   // call report non-convergence (as a clustered spectrum would), driving
   // callers into their fallback chains. One armed count = one failed call.
   const bool forced_nonconverge = SP_FAULT("lanczos.force_nonconverge");
 
+  // The projected tridiagonal T of the current basis (EISPACK layout).
+  auto projected = [&]() {
+    const std::size_t m = basis.size();
+    Tridiagonal t{alphas, Vec(m, 0.0)};
+    for (std::size_t i = 1; i < m; ++i) t.off[i] = betas[i - 1];
+    return t;
+  };
+
+  // The residual of Ritz pair i is |beta_m s_{m,i}|: only the bottom row
+  // of T's eigenvector matrix is needed, and QL on a 1 x m row seeded with
+  // e_m^T yields exactly that row in O(m^2). The full decomposition is
+  // done once, after the loop, for the Ritz vectors.
   auto check_converged = [&]() -> bool {
     const std::size_t m = basis.size();
     if (m == 0) return false;
-    // Always (re)compute the Ritz decomposition so a truncated run — budget
-    // exhaustion, early breakdown — can still extract its best-so-far pairs.
-    t_conv.diag = alphas;
-    t_conv.off.assign(m, 0.0);
-    for (std::size_t i = 1; i < m; ++i) t_conv.off[i] = betas[i - 1];
-    z_conv = DenseMatrix::identity(m);
-    tridiagonal_eigen(t_conv, z_conv);
-    ritz_valid = true;
+    ++result.ritz_checks;
     if (m < want || forced_nonconverge) return false;
     if (m == n) return true;  // exhausted the space: exact
+    Tridiagonal t = projected();
+    DenseMatrix bottom(1, m);
+    bottom.at(0, m - 1) = 1.0;
+    tridiagonal_eigen(t, bottom);
     const double beta_next = betas.size() >= m ? betas[m - 1] : 0.0;
     for (std::size_t i = 0; i < want; ++i) {
       const std::size_t col = m - 1 - i;  // largest eigenvalues are last
-      const double residual = std::fabs(beta_next * z_conv.at(m - 1, col));
+      const double residual = std::fabs(beta_next * bottom.at(0, col));
       if (residual > opts.tolerance * op_scale) return false;
     }
     return true;
@@ -272,9 +277,15 @@ LanczosResult lanczos_largest_op(
   }
   if (!converged) converged = check_converged();
 
+  // One full Ritz decomposition of the final T, even for a truncated run
+  // (budget exhaustion, early breakdown), which returns its best-so-far
+  // pairs.
   const std::size_t m = basis.size();
-  SP_ASSERT(ritz_valid && m >= 1);
+  SP_ASSERT(m >= 1);
   const std::size_t take = std::min(want, m);
+  Tridiagonal t_conv = projected();
+  DenseMatrix z_conv = DenseMatrix::identity(m);
+  tridiagonal_eigen(t_conv, z_conv);
 
   result.values.resize(take);
   result.vectors = DenseMatrix(n, take);

@@ -71,6 +71,10 @@ struct LanczosResult {
   /// the residual tolerance (eigenpair i converges before j for i < j, so
   /// a prefix is the natural unit of partial success).
   std::size_t num_converged = 0;
+  /// Convergence checks of the Ritz pairs made along the way. A scalar
+  /// check costs at most one O(m^2) bottom-row QL of the projected
+  /// tridiagonal, a block check one band (or dense) Rayleigh-Ritz.
+  std::size_t ritz_checks = 0;
   /// Invariant-subspace restarts taken (fresh random directions).
   std::size_t breakdown_restarts = 0;
   /// True when the iteration stopped because the compute budget ran out.

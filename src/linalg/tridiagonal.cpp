@@ -19,46 +19,67 @@ Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) 
   SP_ASSERT(a.cols() == n);
   Vec d(n, 0.0);
   Vec e(n, 0.0);
+  if (n == 0) {
+    if (accumulated != nullptr) *accumulated = std::move(a);
+    return Tridiagonal{std::move(d), std::move(e)};
+  }
+  // Raw row pointers: every loop below touches O(n) entries per step, and
+  // the checked accessor is out of line. Loops that the EISPACK original
+  // runs down a column are interchanged to run along rows; each entry still
+  // sees the same operations in the same order, so the bits are unchanged.
+  double* const base = a.data();
+  const auto row = [base, n](std::size_t r) { return base + r * n; };
 
   // Householder reduction (EISPACK tred2, 0-based).
   for (std::size_t i = n - 1; i >= 1; --i) {
     const std::size_t l = i - 1;
+    double* const ai = row(i);
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(a.at(i, k));
+      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(ai[k]);
       if (scale == 0.0) {
-        e[i] = a.at(i, l);
+        e[i] = ai[l];
       } else {
         for (std::size_t k = 0; k <= l; ++k) {
-          a.at(i, k) /= scale;
-          h += a.at(i, k) * a.at(i, k);
+          ai[k] /= scale;
+          h += ai[k] * ai[k];
         }
-        double f = a.at(i, l);
+        double f = ai[l];
         double g = f >= 0.0 ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        a.at(i, l) = f - g;
+        ai[l] = f - g;
+        // e[j] = (A u)_j / h over the lower triangle: the row part
+        // sum_{k<=j} a_jk u_k first, then the column part sum_{k>j} a_kj u_k
+        // in increasing k, accumulated row by row.
+        for (std::size_t j = 0; j <= l; ++j) {
+          double* const aj = row(j);
+          aj[i] = ai[j] / h;
+          g = 0.0;
+          for (std::size_t k = 0; k <= j; ++k) g += aj[k] * ai[k];
+          e[j] = g;
+        }
+        for (std::size_t k = 1; k <= l; ++k) {
+          const double* const ak = row(k);
+          const double aik = ai[k];
+          for (std::size_t j = 0; j < k; ++j) e[j] += ak[j] * aik;
+        }
         f = 0.0;
         for (std::size_t j = 0; j <= l; ++j) {
-          a.at(j, i) = a.at(i, j) / h;
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += a.at(j, k) * a.at(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k)
-            g += a.at(k, j) * a.at(i, k);
-          e[j] = g / h;
-          f += e[j] * a.at(i, j);
+          e[j] /= h;
+          f += e[j] * ai[j];
         }
         const double hh = f / (h + h);
         for (std::size_t j = 0; j <= l; ++j) {
-          f = a.at(i, j);
+          double* const aj = row(j);
+          f = ai[j];
           e[j] = g = e[j] - hh * f;
-          for (std::size_t k = 0; k <= j; ++k)
-            a.at(j, k) -= f * e[k] + g * a.at(i, k);
+          for (std::size_t k = 0; k <= j; ++k) aj[k] -= f * e[k] + g * ai[k];
         }
       }
     } else {
-      e[i] = a.at(i, l);
+      e[i] = ai[l];
     }
     d[i] = h;
     if (i == 1) break;  // avoid size_t underflow
@@ -66,20 +87,31 @@ Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated) 
   d[0] = 0.0;
   e[0] = 0.0;
 
-  // Accumulate the transformation.
+  // Accumulate the transformation. Column j's coefficient
+  // g_j = sum_{k<i} a_ik a_kj reads no entry the updates of other columns
+  // write, so all g_j are summed first (row by row, k increasing) and then
+  // applied.
+  Vec g(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
+    double* const ai = row(i);
     if (d[i] != 0.0) {
-      for (std::size_t j = 0; j < i; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k < i; ++k) g += a.at(i, k) * a.at(k, j);
-        for (std::size_t k = 0; k < i; ++k) a.at(k, j) -= g * a.at(k, i);
+      std::fill(g.begin(), g.begin() + static_cast<std::ptrdiff_t>(i), 0.0);
+      for (std::size_t k = 0; k < i; ++k) {
+        const double* const ak = row(k);
+        const double aik = ai[k];
+        for (std::size_t j = 0; j < i; ++j) g[j] += aik * ak[j];
+      }
+      for (std::size_t k = 0; k < i; ++k) {
+        double* const ak = row(k);
+        const double aki = ak[i];
+        for (std::size_t j = 0; j < i; ++j) ak[j] -= g[j] * aki;
       }
     }
-    d[i] = a.at(i, i);
-    a.at(i, i) = 1.0;
+    d[i] = ai[i];
+    ai[i] = 1.0;
     for (std::size_t j = 0; j < i; ++j) {
-      a.at(j, i) = 0.0;
-      a.at(i, j) = 0.0;
+      row(j)[i] = 0.0;
+      ai[j] = 0.0;
     }
   }
 
@@ -92,8 +124,11 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
   Vec& e = t.off;
   const std::size_t n = d.size();
   SP_ASSERT(e.size() == n);
-  SP_ASSERT(z.rows() == n && z.cols() == n);
+  SP_ASSERT(z.cols() == n);
   if (n == 0) return;
+  // Rows of z, walked by raw pointer: a rotation touches every row.
+  double* const z_begin = z.data();
+  double* const z_end = z_begin + z.rows() * n;
 
   // Shift the off-diagonal so e[i] couples rows i and i+1 (tql2 layout).
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
@@ -135,10 +170,10 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          for (std::size_t k = 0; k < n; ++k) {
-            f = z.at(k, i + 1);
-            z.at(k, i + 1) = s * z.at(k, i) + c * f;
-            z.at(k, i) = c * z.at(k, i) - s * f;
+          for (double* zr = z_begin; zr != z_end; zr += n) {
+            f = zr[i + 1];
+            zr[i + 1] = s * zr[i] + c * f;
+            zr[i] = c * zr[i] - s * f;
           }
         }
         if (underflow) continue;
@@ -161,15 +196,14 @@ void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z) {
     }
     if (k != i) {
       std::swap(d[k], d[i]);
-      for (std::size_t row = 0; row < n; ++row)
-        std::swap(z.at(row, i), z.at(row, k));
+      for (double* zr = z_begin; zr != z_end; zr += n)
+        std::swap(zr[i], zr[k]);
     }
   }
 }
 
 Vec tridiagonal_eigenvalues(Tridiagonal t) {
-  const std::size_t n = t.diag.size();
-  DenseMatrix z = DenseMatrix::identity(n);
+  DenseMatrix z(0, t.diag.size());
   tridiagonal_eigen(t, z);
   return t.diag;
 }

@@ -26,11 +26,21 @@ Tridiagonal householder_tridiagonalize(DenseMatrix a, DenseMatrix* accumulated);
 /// Diagonalizes a symmetric tridiagonal matrix in place using the QL
 /// algorithm with implicit shifts.
 ///
-/// On entry `z` must be either the identity (eigenvectors of T itself) or
-/// the orthogonal matrix accumulated by householder_tridiagonalize
-/// (eigenvectors of the original dense matrix). On return t.diag holds the
-/// eigenvalues sorted ascending and the columns of z the matching
-/// orthonormal eigenvectors. Throws specpart::Error if QL fails to converge
+/// `z` must have n columns and any number of rows; every rotation QL applies
+/// to T is applied to the columns of z, so on return z holds Z0 S, where Z0
+/// is z on entry and S the eigenvector matrix of T. Common seeds:
+///  * the n x n identity: the columns of z are the eigenvectors of T;
+///  * the orthogonal matrix accumulated by householder_tridiagonalize:
+///    eigenvectors of the original dense matrix;
+///  * the 1 x n row e_{n-1}^T: the bottom row of T's eigenvector matrix
+///    (the Lanczos residual estimates) in O(n^2) instead of O(n^3);
+///  * 0 x n: eigenvalues only.
+/// Each row of z is updated from its own entries and the shared rotation
+/// only, so a row's result is bitwise the same whatever other rows z holds,
+/// and t.diag does not depend on z at all.
+///
+/// On return t.diag holds the eigenvalues sorted ascending, with the columns
+/// of z permuted to match. Throws specpart::Error if QL fails to converge
 /// (pathological input; does not occur for finite well-scaled matrices).
 void tridiagonal_eigen(Tridiagonal& t, DenseMatrix& z);
 

@@ -19,15 +19,29 @@ void note_fallback(Diagnostics* diag, const std::string& message) {
   if (diag != nullptr) diag->fallback(kStage, message);
 }
 
-/// Runs one backend attempt and records its internal recoveries.
+/// Work counters summed over every attempt of one eigenbasis solve.
+struct SolveWork {
+  std::uint64_t flops = 0;
+  std::uint64_t bytes_moved = 0;
+  std::uint64_t krylov_dim = 0;   // flat attempts only
+  std::uint64_t ritz_checks = 0;  // flat attempts only
+};
+
+/// Runs one flat backend attempt, adds its work to `work` and records its
+/// internal recoveries.
 linalg::LanczosResult run_attempt(const linalg::SymCsrMatrix& q,
                                   const linalg::EigenSolver& solver,
                                   std::size_t want, std::uint64_t seed,
                                   const linalg::SolverOptions& sopts,
                                   const ParallelConfig& parallel,
-                                  ComputeBudget* budget, Diagnostics* diag) {
+                                  ComputeBudget* budget, Diagnostics* diag,
+                                  SolveWork& work) {
   linalg::LanczosResult result =
       solver.solve_smallest(q, want, seed, sopts, parallel, budget);
+  work.flops += result.flops;
+  work.bytes_moved += result.matrix_bytes_moved;
+  work.krylov_dim += result.iterations;
+  work.ritz_checks += result.ritz_checks;
   if (result.breakdown_restarts > 0)
     note_fallback(diag,
                   strprintf("Lanczos breakdown: %zu invariant-subspace "
@@ -51,6 +65,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
   basis.laplacian_trace = q.trace();
   basis.requested = want >= extra ? want - extra : 0;
 
+  SolveWork work;
   linalg::Vec values;
   linalg::DenseMatrix vectors;
   bool converged = false;
@@ -82,8 +97,8 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
       result = multilevel::multilevel_solve_smallest(
           q, want, seed, sopts, opts.parallel, budget, &mstats,
           galerkin_general);
-      basis.solve_flops += result.flops;
-      basis.solve_bytes_moved += result.matrix_bytes_moved;
+      work.flops += result.flops;
+      work.bytes_moved += result.matrix_bytes_moved;
       if (diag != nullptr) {
         diag->add_counter(kStage, "multilevel_levels", mstats.levels);
         diag->add_counter(kStage, "multilevel_coarsest_n", mstats.coarsest_n);
@@ -99,9 +114,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
     }
     if (!have_result) {
       result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                           budget, diag);
-      basis.solve_flops += result.flops;
-      basis.solve_bytes_moved += result.matrix_bytes_moved;
+                           budget, diag, work);
     }
 
     // Hardened fallback chain for clustered / pathological spectra. Each
@@ -116,9 +129,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
         note_fallback(diag, "eigensolver did not converge; reseeded restart");
         seed = seed * 0x9E3779B97F4A7C15ULL + 1;
         result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                             budget, diag);
-        basis.solve_flops += result.flops;
-        basis.solve_bytes_moved += result.matrix_bytes_moved;
+                             budget, diag, work);
         step = Step::kEnlarge;
       } else if (step == Step::kEnlarge) {
         sopts.max_iterations =
@@ -126,9 +137,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
         note_fallback(diag, strprintf("enlarged Krylov space to %zu",
                                       sopts.max_iterations));
         result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                             budget, diag);
-        basis.solve_flops += result.flops;
-        basis.solve_bytes_moved += result.matrix_bytes_moved;
+                             budget, diag, work);
         step = Step::kFullReorth;
       } else if (step == Step::kFullReorth) {
         if (sopts.reorthogonalization !=
@@ -136,9 +145,7 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
           sopts.reorthogonalization = linalg::Reorthogonalization::kFull;
           note_fallback(diag, "switched to full reorthogonalization");
           result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                               budget, diag);
-          basis.solve_flops += result.flops;
-          basis.solve_bytes_moved += result.matrix_bytes_moved;
+                               budget, diag, work);
         }
         step = Step::kDense;
       } else if (step == Step::kDense) {
@@ -212,11 +219,15 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
     diag->warn(kStage, strprintf("eigenbasis degraded: %zu of %zu requested "
                                  "pair(s) available",
                                  keep, basis.requested));
+  basis.solve_flops = work.flops;
+  basis.solve_bytes_moved = work.bytes_moved;
   if (diag != nullptr) {
     // Zero deltas still register the counters, marking the stage as
-    // instrumented (the dense path legitimately measures 0 of both).
-    diag->add_counter(kStage, "flops", basis.solve_flops);
-    diag->add_counter(kStage, "matrix_bytes_moved", basis.solve_bytes_moved);
+    // instrumented (the dense path legitimately measures 0 of all four).
+    diag->add_counter(kStage, "flops", work.flops);
+    diag->add_counter(kStage, "matrix_bytes_moved", work.bytes_moved);
+    diag->add_counter(kStage, "krylov_dim", work.krylov_dim);
+    diag->add_counter(kStage, "ritz_checks", work.ritz_checks);
   }
   return basis;
 }

@@ -4,7 +4,10 @@
 #include <cmath>
 
 #include "graph/graph.h"
+#include "graph/laplacian.h"
+#include "linalg/lanczos.h"
 #include "spectral/embedding.h"
+#include "util/status.h"
 
 namespace specpart::spectral {
 namespace {
@@ -68,6 +71,29 @@ TEST(Embedding, LanczosPathAgreesWithDense) {
   ASSERT_TRUE(b.converged);
   for (std::size_t j = 0; j < 5; ++j)
     EXPECT_NEAR(a.values[j], b.values[j], 1e-6) << "pair " << j;
+}
+
+TEST(Embedding, SolveCountersMatchTheLanczosRun) {
+  const graph::Graph g = path(200);
+  EmbeddingOptions opts;
+  opts.count = 5;
+  opts.solver.dense_threshold = 0;
+  Diagnostics diag;
+  const EigenBasis basis = compute_eigenbasis(g, opts, &diag);
+  ASSERT_TRUE(basis.converged);
+  ASSERT_EQ(diag.total_fallbacks(), 0u);
+
+  // One clean attempt: the counters are exactly that Lanczos run's.
+  linalg::LanczosOptions direct;
+  direct.num_eigenpairs = opts.count;
+  direct.seed = opts.seed;
+  direct.tolerance = opts.solver.tolerance;
+  const linalg::LanczosResult r =
+      linalg::lanczos_smallest(graph::build_laplacian(g), direct);
+  EXPECT_GT(r.ritz_checks, 0u);
+  EXPECT_EQ(diag.counter("eigensolve", "krylov_dim"), r.iterations);
+  EXPECT_EQ(diag.counter("eigensolve", "ritz_checks"), r.ritz_checks);
+  EXPECT_EQ(diag.counter("eigensolve", "flops"), r.flops);
 }
 
 TEST(Embedding, CountClampedToN) {

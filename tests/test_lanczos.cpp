@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "graph/generator.h"
 #include "graph/graph.h"
 #include "graph/laplacian.h"
 #include "linalg/lanczos.h"
+#include "linalg/objective.h"
 #include "linalg/symmetric_eigen.h"
+#include "model/clique_models.h"
 #include "util/rng.h"
 
 namespace specpart::linalg {
@@ -203,6 +207,56 @@ TEST(LanczosSelective, DisconnectedGraphStillWorks) {
   EXPECT_NEAR(r.values[0], 0.0, 1e-7);
   EXPECT_NEAR(r.values[1], 0.0, 1e-7);
   EXPECT_NEAR(r.values[2], 10.0, 1e-5);
+}
+
+/// One pinned lanczos_smallest run on a clique-model netlist Laplacian
+/// (generate_netlist with n + n/4 nets, 10 planted clusters, seed 7).
+struct PinnedSolve {
+  std::size_t n;
+  bool normalized;
+  std::size_t pairs;
+  std::size_t iterations;
+  bool converged;
+  std::size_t num_converged;
+  std::size_t ritz_checks;
+};
+
+// The convergence-check schedule and decision rule, pinned: the values are
+// those of the original implementation, which rebuilt T's full eigenvector
+// matrix at every check. Any change to when the solver checks, or to what
+// it decides, shows up here. The n=2000 unnormalized run does not
+// converge: 5 of 6 pairs meet the tolerance at the 240-step cap, after 24
+// scheduled checks and the final one that every unconverged run makes.
+constexpr PinnedSolve kPinnedSolves[] = {
+    {1000, false, 6, 220, true, 6, 22},
+    {1000, true, 11, 140, true, 11, 13},
+    {2000, false, 6, 240, false, 5, 25},
+    {2000, true, 6, 140, true, 6, 14},
+};
+
+TEST(LanczosPinned, IterationsAndConvergenceUnchanged) {
+  for (const PinnedSolve& pin : kPinnedSolves) {
+    graph::GeneratorConfig cfg;
+    cfg.num_modules = pin.n;
+    cfg.num_nets = pin.n + pin.n / 4;
+    cfg.num_clusters = 10;
+    cfg.seed = 7;
+    SymCsrMatrix q = graph::build_laplacian(model::clique_expand(
+        graph::generate_netlist(cfg), model::NetModel::kPartitioningSpecific));
+    if (pin.normalized) q = normalized_laplacian(q);
+    LanczosOptions opts;
+    opts.num_eigenpairs = pin.pairs;
+    const LanczosResult r = lanczos_smallest(q, opts);
+    const std::string label =
+        "n=" + std::to_string(pin.n) +
+        (pin.normalized ? " normalized" : " unnormalized") +
+        " pairs=" + std::to_string(pin.pairs);
+    EXPECT_EQ(r.iterations, pin.iterations) << label;
+    EXPECT_EQ(r.converged, pin.converged) << label;
+    EXPECT_EQ(r.num_converged, pin.num_converged) << label;
+    EXPECT_EQ(r.ritz_checks, pin.ritz_checks) << label;
+    EXPECT_EQ(r.values.size(), pin.pairs) << label;
+  }
 }
 
 }  // namespace

@@ -156,6 +156,29 @@ TEST(Resilience, PersistentNonConvergenceFallsBackToDense) {
   EXPECT_EQ(diag.status(), StatusCode::kDegraded);
 }
 
+TEST(Resilience, SolveCountersSumOverFallbackAttempts) {
+  if (!kFaultsCompiled) GTEST_SKIP() << "fault injection compiled out";
+  fault::ScopedFaults guard;
+  const graph::Hypergraph h = test_netlist(60, 14);
+  const linalg::SymCsrMatrix q = graph::build_laplacian(
+      model::clique_expand(h, model::NetModel::kPartitioningSpecific));
+  fault::arm("lanczos.force_nonconverge", 100);  // defeat every attempt
+  spectral::EmbeddingOptions opts;
+  opts.count = 5;
+  opts.solver.dense_threshold = 8;
+  Diagnostics diag;
+  const spectral::EigenBasis basis =
+      spectral::compute_eigenbasis(q, opts, &diag);
+  EXPECT_TRUE(has_event(diag, "dense eigensolver fallback"));
+  EXPECT_TRUE(basis.converged);
+  // First attempt, reseeded restart and enlarged Krylov space each run to
+  // the whole space (m = n = 60), check at m = 10, 20, ..., 60 and once
+  // more after the loop; the dense fallback adds neither Krylov columns
+  // nor checks.
+  EXPECT_EQ(diag.counter("eigensolve", "krylov_dim"), 3u * 60u);
+  EXPECT_EQ(diag.counter("eigensolve", "ritz_checks"), 3u * 7u);
+}
+
 TEST(Resilience, TruncationToConvergedPrefix) {
   if (!kFaultsCompiled) GTEST_SKIP() << "fault injection compiled out";
   fault::ScopedFaults guard;

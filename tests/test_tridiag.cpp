@@ -3,9 +3,14 @@
 // Oracles: analytically known spectra (diagonal matrices, path-graph
 // Laplacians) and the defining properties A v = lambda v, V^T V = I,
 // A = V diag(lambda) V^T, verified over randomized sizes via TEST_P.
+// The partial-z contract of tridiagonal_eigen (a subset of rows, or none,
+// evolves bit for bit as inside the full identity-seeded run) is checked
+// on random tridiagonals with block splits and repeated diagonals.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/symmetric_eigen.h"
 #include "linalg/tridiagonal.h"
@@ -169,6 +174,95 @@ TEST(Householder, TridiagonalIsSimilar) {
   }
   const DenseMatrix recon = q.multiply(tm).multiply(q.transposed());
   EXPECT_LT(recon.max_abs_diff(a), 1e-10 * (1.0 + a.frobenius()));
+}
+
+/// Random symmetric tridiagonal of order m with the features Lanczos
+/// produces: zero couplings (invariant-subspace splits) and runs of equal
+/// diagonal entries.
+Tridiagonal random_tridiagonal(std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  Tridiagonal t{Vec(m, 0.0), Vec(m, 0.0)};
+  for (std::size_t i = 0; i < m; ++i) {
+    t.diag[i] = (i > 0 && rng.next_double() < 0.2) ? t.diag[i - 1]
+                                                   : rng.next_normal();
+    if (i > 0) t.off[i] = rng.next_double() < 0.1 ? 0.0 : rng.next_normal();
+  }
+  return t;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+class TridiagonalPartialZ : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TridiagonalPartialZ, BottomRowMatchesFullRunBitwise) {
+  const std::size_t m = GetParam();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Tridiagonal full_t = random_tridiagonal(m, 1000 * m + seed);
+    Tridiagonal row_t = full_t;
+    DenseMatrix full = DenseMatrix::identity(m);
+    tridiagonal_eigen(full_t, full);
+    DenseMatrix row(1, m);
+    row.at(0, m - 1) = 1.0;
+    tridiagonal_eigen(row_t, row);
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(bits(row_t.diag[j]), bits(full_t.diag[j]))
+          << "m=" << m << " seed=" << seed << " value " << j;
+      EXPECT_EQ(bits(row.at(0, j)), bits(full.at(m - 1, j)))
+          << "m=" << m << " seed=" << seed << " column " << j;
+    }
+  }
+}
+
+TEST_P(TridiagonalPartialZ, RowSubsetMatchesFullRunBitwise) {
+  const std::size_t m = GetParam();
+  const std::size_t picks[] = {0, m / 2, m - 1};
+  Tridiagonal full_t = random_tridiagonal(m, 77 + m);
+  Tridiagonal sub_t = full_t;
+  DenseMatrix full = DenseMatrix::identity(m);
+  tridiagonal_eigen(full_t, full);
+  DenseMatrix sub(3, m);
+  for (std::size_t r = 0; r < 3; ++r) sub.at(r, picks[r]) = 1.0;
+  tridiagonal_eigen(sub_t, sub);
+  for (std::size_t r = 0; r < 3; ++r)
+    for (std::size_t j = 0; j < m; ++j)
+      EXPECT_EQ(bits(sub.at(r, j)), bits(full.at(picks[r], j)))
+          << "m=" << m << " row " << picks[r] << " column " << j;
+}
+
+TEST_P(TridiagonalPartialZ, ZeroRowZGivesSameEigenvalues) {
+  const std::size_t m = GetParam();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Tridiagonal full_t = random_tridiagonal(m, 2000 * m + seed);
+    const Tridiagonal input = full_t;
+    DenseMatrix full = DenseMatrix::identity(m);
+    tridiagonal_eigen(full_t, full);
+    Tridiagonal none_t = input;
+    DenseMatrix none(0, m);
+    tridiagonal_eigen(none_t, none);
+    const Vec values = tridiagonal_eigenvalues(input);
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(bits(none_t.diag[j]), bits(full_t.diag[j]))
+          << "m=" << m << " seed=" << seed << " value " << j;
+      EXPECT_EQ(bits(values[j]), bits(full_t.diag[j]))
+          << "m=" << m << " seed=" << seed << " value " << j;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, TridiagonalPartialZ,
+                         ::testing::Values(1, 2, 5, 40, 200));
+
+TEST(Tridiagonal, ZeroCouplingsSplitIntoBlocks) {
+  // Two decoupled 2x2 blocks [[2,1],[1,2]] and [[5,1],[1,5]], plus an
+  // isolated diagonal entry equal to a block eigenvalue: {1, 3, 3, 4, 6}.
+  Tridiagonal t{{2.0, 2.0, 3.0, 5.0, 5.0}, {0.0, 1.0, 0.0, 0.0, 1.0}};
+  DenseMatrix z = DenseMatrix::identity(5);
+  tridiagonal_eigen(t, z);
+  const double expected[] = {1.0, 3.0, 3.0, 4.0, 6.0};
+  for (std::size_t j = 0; j < 5; ++j)
+    EXPECT_NEAR(t.diag[j], expected[j], 1e-12) << "value " << j;
+  const DenseMatrix gram = z.transposed().multiply(z);
+  EXPECT_LT(gram.max_abs_diff(DenseMatrix::identity(5)), 1e-12);
 }
 
 }  // namespace
