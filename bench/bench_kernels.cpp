@@ -98,25 +98,6 @@ BENCHMARK(BM_MeloOrderingLazyThreaded)
     ->Args({5000, 8})
     ->Unit(benchmark::kMillisecond);
 
-void BM_DprpSplitThreaded(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  const graph::Hypergraph h = make_netlist(n);
-  core::MeloOptions m;
-  const auto runs = core::melo_orderings(h, m);
-  spectral::DprpOptions opts;
-  opts.k = 10;
-  opts.parallel = ParallelConfig::with_threads(threads);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(spectral::dprp_split(h, runs[0].ordering, opts));
-  state.SetLabel("n=" + std::to_string(n) + " k=10 threads:" +
-                 std::to_string(threads));
-}
-BENCHMARK(BM_DprpSplitThreaded)
-    ->Args({1500, 1})
-    ->Args({1500, 8})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_DprpSplit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::uint32_t>(state.range(1));

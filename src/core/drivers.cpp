@@ -260,17 +260,24 @@ MeloMultiwayResult melo_multiway(const graph::Hypergraph& h, std::uint32_t k,
   dopts.k = k;
   dopts.min_cluster_size = min_cluster_size;
   dopts.max_cluster_size = max_cluster_size;
-  dopts.parallel = opts.parallel;
+  dopts.budget = opts.budget;
 
+  Diagnostics* diag = opts.diagnostics;
   MeloMultiwayResult best;
   bool have = false;
   for (const MeloOrderingRun& run : runs) {
     const spectral::DprpResult dp = spectral::dprp_split(h, run.ordering, dopts);
+    if (diag != nullptr) {
+      diag->add_counter("split", "dprp_relaxations", dp.relaxations);
+      diag->add_counter("split", "dprp_sweep_steps", dp.sweep_steps);
+      if (dp.budget_exhausted) diag->mark_budget_exhausted("split");
+    }
     best.ordering_seconds += run.ordering_seconds;
     best.eigen_seconds = run.eigen_seconds;
     best.eigen_converged = run.eigen_converged;
     best.eigenvectors_used = run.eigenvectors_used;
-    best.budget_exhausted = best.budget_exhausted || run.budget_exhausted;
+    best.budget_exhausted =
+        best.budget_exhausted || run.budget_exhausted || dp.budget_exhausted;
     if (!have || dp.scaled_cost < best.scaled_cost) {
       have = true;
       best.partition = dp.partition;

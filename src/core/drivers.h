@@ -117,7 +117,8 @@ struct MeloMultiwayResult {
 
 /// MELO k-way partitioning: the best ordering is split by DP-RP under the
 /// Scaled Cost objective (the Table 4 protocol). Size bounds of 0 keep
-/// DP-RP unconstrained.
+/// DP-RP unconstrained. DP-RP polls opts.budget too; its work counters land
+/// in opts.diagnostics as split.dprp_relaxations / split.dprp_sweep_steps.
 MeloMultiwayResult melo_multiway(const graph::Hypergraph& h, std::uint32_t k,
                                  const MeloOptions& opts,
                                  std::size_t min_cluster_size = 1,

@@ -8,8 +8,9 @@
 //
 // The DP relaxes dp[h][j] = min_i dp[h-1][i] + E(i,j) / (j-i), where E(i,j)
 // is the weight of nets with pins both inside and outside ordering[i..j).
-// Segment costs are generated on the fly with an incremental sweep, so no
-// O(n^2) table is materialized.
+// The tables fill in one pass over start positions: one incremental pin
+// sweep per start i yields E(i,j)/(j-i) for every end j, and every level h
+// relaxes from it — O(n^2 * pins per vertex + k*n^2), no O(n^2) table.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "graph/hypergraph.h"
 #include "part/ordering.h"
 #include "part/partition.h"
+#include "util/budget.h"
 #include "util/parallel.h"
 
 namespace specpart::spectral {
@@ -27,10 +29,11 @@ struct DprpOptions {
   /// Cluster size bounds in vertices; 0 for max means "no upper bound".
   std::size_t min_cluster_size = 1;
   std::size_t max_cluster_size = 0;
-  /// Compute-kernel threading (see util/parallel.h): within each DP level
-  /// the start positions i are swept in fixed blocks with private
-  /// scratch, and block results merge by strict improvement in ascending
-  /// block order — bit-identical to the serial sweep for any thread count.
+  /// Polled once per start position (nullptr = unlimited). On exhaustion
+  /// the result is the best partition whose last cut precedes the first
+  /// unswept start, else the equal-length contiguous split.
+  ComputeBudget* budget = nullptr;
+  /// Unused (the fill is serial); kept for source compatibility.
   ParallelConfig parallel;
 };
 
@@ -42,6 +45,11 @@ struct DprpResult {
   /// [boundaries[h], boundaries[h+1]) of the ordering (size k+1).
   std::vector<std::size_t> boundaries;
   bool feasible = false;
+  bool budget_exhausted = false;  // the budget stopped the fill early
+  /// Fill work: (level, end) candidates relaxed, and pin-sweep segment
+  /// extensions (n(n+1)/2 without size bounds, for any k).
+  std::uint64_t relaxations = 0;
+  std::uint64_t sweep_steps = 0;
 };
 
 /// Optimal restricted (contiguous) k-way partitioning of the ordering under

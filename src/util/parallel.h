@@ -1,10 +1,10 @@
 // Shared parallel compute-kernel layer: a small reusable thread pool plus
 // deterministic parallel_for / parallel_reduce utilities.
 //
-// Every hot path in the library (the MELO greedy argmax, Lanczos SpMV and
-// reorthogonalization panels, the k-means assignment step, the DP-RP table
-// fill) funnels through these two primitives. Two contracts matter more
-// than raw speed:
+// Every threaded hot path in the library (the MELO greedy argmax, Lanczos
+// SpMV and reorthogonalization panels, the k-means assignment step)
+// funnels through these two primitives. Two contracts matter more than
+// raw speed:
 //
 //  1. *Fixed-block determinism.* A range [begin, end) is always split into
 //     the same blocks — block boundaries depend only on the range length
@@ -33,7 +33,7 @@
 namespace specpart {
 
 /// Thread-count knob threaded through the pipeline option structs
-/// (MeloOrderingOptions, LanczosOptions, KmeansOptions, DprpOptions, ...).
+/// (MeloOrderingOptions, LanczosOptions, KmeansOptions, ...).
 struct ParallelConfig {
   /// Worker threads to use (including the calling thread).
   ///   1 = serial reference path (the default; byte-identical to the seed

@@ -1,7 +1,7 @@
 // Tests for the parallel compute-kernel layer (util/parallel.h):
 // determinism of the fixed-block reductions across thread counts, and
 // equivalence of every parallelized hot path (MELO argmax, Lanczos, SpMV,
-// k-means assignment, DP-RP table fill) with the serial reference.
+// k-means assignment) with the serial reference.
 //
 // Thread counts are oversubscribed on small machines on purpose — the
 // pool spawns the requested workers regardless of core count, so the
@@ -23,7 +23,6 @@
 #include "graph/laplacian.h"
 #include "linalg/lanczos.h"
 #include "model/clique_models.h"
-#include "spectral/dprp.h"
 #include "spectral/kmeans.h"
 #include "util/rng.h"
 
@@ -315,26 +314,6 @@ TEST(ParallelEquivalence, KmeansAssignmentsBitIdentical) {
     opts.parallel = ParallelConfig::with_threads(t);
     const part::Partition p = spectral::kmeans_partition(h, 4, opts);
     EXPECT_EQ(p.assignment(), reference.assignment()) << t << " threads";
-  }
-}
-
-TEST(ParallelEquivalence, DprpSplitBitIdentical) {
-  const graph::Hypergraph h = make_netlist(500, 77);
-  core::MeloOptions mopts;
-  mopts.num_eigenvectors = 6;
-  const auto runs = core::melo_orderings(h, mopts);
-  spectral::DprpOptions opts;
-  opts.k = 6;
-  const spectral::DprpResult reference =
-      spectral::dprp_split(h, runs[0].ordering, opts);
-  for (const std::size_t t : tested_thread_counts()) {
-    opts.parallel = ParallelConfig::with_threads(t);
-    const spectral::DprpResult r =
-        spectral::dprp_split(h, runs[0].ordering, opts);
-    EXPECT_EQ(r.boundaries, reference.boundaries) << t << " threads";
-    EXPECT_EQ(r.scaled_cost, reference.scaled_cost) << t << " threads";
-    EXPECT_EQ(r.partition.assignment(), reference.partition.assignment())
-        << t << " threads";
   }
 }
 

@@ -26,6 +26,7 @@
 #include "util/budget.h"
 #include "util/fault.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace specpart {
 namespace {
@@ -251,6 +252,31 @@ TEST(Resilience, ExpiredDeadlineReturnsBestSoFarPartition) {
   expect_valid_balanced(h, r, 0.45);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_EQ(diag.status(), StatusCode::kBudgetExhausted);
+}
+
+TEST(Resilience, ExpiredDeadlineBoundsMultiwaySplit) {
+  // k = 8 DP-RP at n = 4000 sweeps ~8M segment extensions unbudgeted; an
+  // expired deadline must stop it at the first start position and still
+  // return a valid 8-way partition (the equal-length contiguous split).
+  const std::size_t n = 4000;
+  const graph::Hypergraph h = test_netlist(n, 21);
+  ComputeBudget budget = ComputeBudget::with_deadline(0.0);
+  Diagnostics diag;
+  core::MeloOptions m;
+  m.diagnostics = &diag;
+  m.budget = &budget;
+  const Timer timer;
+  const auto r = core::melo_multiway(h, 8, m);
+  EXPECT_LT(timer.seconds(), 1.0);  // deadline 0 + slack for valid output
+  EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_EQ(diag.status(), StatusCode::kBudgetExhausted);
+  ASSERT_EQ(r.partition.num_nodes(), n);
+  ASSERT_EQ(r.partition.k(), 8u);
+  for (std::uint32_t c = 0; c < 8; ++c)
+    EXPECT_EQ(r.partition.cluster_size(c), n / 8);
+  EXPECT_EQ(r.scaled_cost, part::scaled_cost(h, r.partition));
+  EXPECT_EQ(diag.counter("split", "dprp_relaxations"), 0u);
+  EXPECT_EQ(diag.counter("split", "dprp_sweep_steps"), 0u);
 }
 
 TEST(Resilience, IterationBudgetBoundsLanczos) {
