@@ -25,7 +25,6 @@
 #include "graph/generator.h"
 #include "graph/laplacian.h"
 #include "levelmajor_dprp.h"
-#include "linalg/block_lanczos.h"
 #include "linalg/dense.h"
 #include "linalg/lanczos.h"
 #include "model/assembly.h"
@@ -122,9 +121,9 @@ int main(int argc, char** argv) {
                "parallel thread count (0 = min(8, 2 x hardware cores))");
   cli.add_flag("smoke", "false",
                "CI sanity mode: run only the eigensolver rows at reduced "
-               "size, then fail unless every counter field (converged "
-               "pairs, flops_per_pair, bytes_per_pair) is present and "
-               "nonzero in the written JSON, the multilevel row "
+               "size, then fail unless the lanczos and multilevel rows "
+               "are present with nonzero counter fields (converged pairs, "
+               "flops_per_pair, bytes_per_pair), the multilevel row "
                "reports a live hierarchy (levels, coarsening_ratio, "
                "per_level), the cache_disk_warm row served the tier-2 "
                "read bit-identically and faster than the cold compute, and "
@@ -191,21 +190,6 @@ int main(int argc, char** argv) {
           time_median([&] { linalg::lanczos_smallest(q, opts); });
       results.push_back(r);
 
-      // Same matrix, same 10 pairs, through the block-Krylov backend: the
-      // bytes_per_pair column against the row above is the headline number
-      // (one spmm sweep advances every direction, so the block path should
-      // stream the Laplacian >= 2x fewer times per converged pair).
-      linalg::BlockLanczosOptions bopts;
-      bopts.num_eigenpairs = 10;
-      KernelResult rb{"block_lanczos", inst};
-      attach_counters(rb, linalg::block_lanczos_smallest(q, bopts));
-      bopts.parallel = serial;
-      rb.serial_seconds =
-          time_median([&] { linalg::block_lanczos_smallest(q, bopts); });
-      bopts.parallel = par;
-      rb.parallel_seconds =
-          time_median([&] { linalg::block_lanczos_smallest(q, bopts); });
-      results.push_back(rb);
     }
 
     {
@@ -284,9 +268,10 @@ int main(int argc, char** argv) {
       });
       results.push_back(r);
 
-      // The fused sparse x dense-panel kernel the block solver runs on:
-      // one sweep advances a 10-wide panel, so compare against 10 spmv
-      // sweeps (same reps) for the per-column bandwidth amortization.
+      // The fused sparse x dense-panel kernel the multilevel V-cycle's
+      // Chebyshev filter runs on: one sweep advances a 10-wide panel, so
+      // compare against 10 spmv sweeps (same reps) for the per-column
+      // bandwidth amortization.
       linalg::Panel px(q.size(), 10);
       for (std::size_t row = 0; row < q.size(); ++row)
         for (std::size_t c = 0; c < 10; ++c) px.at(row, c) = 1.0;
@@ -578,55 +563,44 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (host: %zu core(s))\n", out.c_str(), cores);
 
     if (smoke) {
-      // CI gate: the eigensolver rows must carry live counters. A zero
-      // here means the solver stopped reporting its algorithmic cost and
-      // the committed baseline would silently rot.
-      std::size_t counter_rows = 0;
-      for (const KernelResult& r : results) {
-        if (!r.has_counters) continue;
-        ++counter_rows;
-        if (r.pairs == 0 || r.flops_per_pair == 0 || r.bytes_per_pair == 0) {
+      // CI gate: the lanczos and multilevel eigensolver rows must be
+      // present with live counters. A zero here means the solver stopped
+      // reporting its algorithmic cost and the committed baseline would
+      // silently rot.
+      const auto find_row = [&](const std::string& name) {
+        return std::find_if(
+            results.begin(), results.end(),
+            [&](const KernelResult& r) { return r.name == name; });
+      };
+      for (const char* name : {"lanczos", "multilevel"}) {
+        const auto it = find_row(name);
+        if (it == results.end()) {
+          std::fprintf(stderr, "bench_report_tool: --smoke: %s row missing\n",
+                       name);
+          return 1;
+        }
+        if (!it->has_counters || it->pairs == 0 || it->flops_per_pair == 0 ||
+            it->bytes_per_pair == 0) {
           std::fprintf(stderr,
                        "bench_report_tool: --smoke: kernel %s has a zero "
                        "counter (pairs=%llu flops_per_pair=%llu "
                        "bytes_per_pair=%llu)\n",
-                       r.name.c_str(),
-                       static_cast<unsigned long long>(r.pairs),
-                       static_cast<unsigned long long>(r.flops_per_pair),
-                       static_cast<unsigned long long>(r.bytes_per_pair));
+                       name, static_cast<unsigned long long>(it->pairs),
+                       static_cast<unsigned long long>(it->flops_per_pair),
+                       static_cast<unsigned long long>(it->bytes_per_pair));
           return 1;
         }
       }
-      if (counter_rows < 3) {
-        std::fprintf(stderr,
-                     "bench_report_tool: --smoke: expected counter fields on "
-                     "all three eigensolver rows, found %zu row(s)\n",
-                     counter_rows);
-        return 1;
-      }
       // The multilevel row must additionally carry a live hierarchy: a
-      // missing row or a degenerate ratio means the V-cycle silently
-      // degraded to a flat solve and the committed baseline would lie.
-      bool multilevel_ok = false;
-      for (const KernelResult& r : results) {
-        if (r.name != "multilevel") continue;
-        multilevel_ok = r.has_counters && r.pairs > 0 && r.levels > 0 &&
-                        r.coarsening_ratio > 1.0 && !r.per_level.empty();
-        if (!multilevel_ok)
-          std::fprintf(stderr,
-                       "bench_report_tool: --smoke: multilevel row is "
-                       "degenerate (pairs=%llu levels=%zu ratio=%.2f "
-                       "per_level=%zu)\n",
-                       static_cast<unsigned long long>(r.pairs), r.levels,
-                       r.coarsening_ratio, r.per_level.size());
-      }
-      if (!multilevel_ok) {
-        if (!std::any_of(results.begin(), results.end(),
-                         [](const KernelResult& r) {
-                           return r.name == "multilevel";
-                         }))
-          std::fprintf(stderr,
-                       "bench_report_tool: --smoke: multilevel row missing\n");
+      // degenerate ratio means the V-cycle silently degraded to a flat
+      // solve and the committed baseline would lie.
+      const KernelResult& ml = *find_row("multilevel");
+      if (ml.levels == 0 || ml.coarsening_ratio <= 1.0 ||
+          ml.per_level.empty()) {
+        std::fprintf(stderr,
+                     "bench_report_tool: --smoke: multilevel row is "
+                     "degenerate (levels=%zu ratio=%.2f per_level=%zu)\n",
+                     ml.levels, ml.coarsening_ratio, ml.per_level.size());
         return 1;
       }
       // The tier-2 row must have run and won: bit-identity and warm<cold
@@ -657,11 +631,11 @@ int main(int argc, char** argv) {
                      "degenerate\n");
         return 1;
       }
-      std::printf("smoke: counter fields present and nonzero on %zu rows, "
-                  "multilevel hierarchy live (%s), tier-2 disk-warm read "
-                  "bit-identical and faster than cold, sweep-cut phi beat "
-                  "the FM split\n",
-                  counter_rows, "levels/coarsening_ratio/per_level");
+      std::printf("smoke: lanczos and multilevel counters present and "
+                  "nonzero, multilevel hierarchy live (%s), tier-2 disk-warm "
+                  "read bit-identical and faster than cold, sweep-cut phi "
+                  "beat the FM split\n",
+                  "levels/coarsening_ratio/per_level");
     }
     return 0;
   } catch (const Error& e) {

@@ -60,11 +60,6 @@ constexpr TokenEntry<SelectionRule> kSelectionRuleTable[] = {
     {"cosine", SelectionRule::kCosine},
 };
 
-constexpr TokenEntry<SolverBackend> kSolverBackendTable[] = {
-    {"scalar", SolverBackend::kScalar},
-    {"block", SolverBackend::kBlock},
-};
-
 constexpr TokenEntry<SolverStrategy> kSolverStrategyTable[] = {
     {"flat", SolverStrategy::kFlat},
     {"multilevel", SolverStrategy::kMultilevel},
@@ -115,10 +110,6 @@ std::string_view selection_rule_token(SelectionRule s) {
   return token_of(kSelectionRuleTable, s);
 }
 
-std::string_view solver_backend_token(SolverBackend b) {
-  return token_of(kSolverBackendTable, b);
-}
-
 std::string_view solver_strategy_token(SolverStrategy s) {
   return token_of(kSolverStrategyTable, s);
 }
@@ -139,11 +130,6 @@ const std::string& net_model_tokens() {
 
 const std::string& selection_rule_tokens() {
   static const std::string joined = join_tokens(kSelectionRuleTable);
-  return joined;
-}
-
-const std::string& solver_backend_tokens() {
-  static const std::string joined = join_tokens(kSolverBackendTable);
   return joined;
 }
 
@@ -169,11 +155,6 @@ model::NetModel parse_net_model(std::string_view token) {
 SelectionRule parse_selection_rule(std::string_view token) {
   return parse_token(kSelectionRuleTable, token, "selection rule",
                      selection_rule_tokens());
-}
-
-SolverBackend parse_solver_backend(std::string_view token) {
-  return parse_token(kSolverBackendTable, token, "solver backend",
-                     solver_backend_tokens());
 }
 
 SolverStrategy parse_solver_strategy(std::string_view token) {

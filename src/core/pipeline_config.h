@@ -31,7 +31,6 @@ namespace specpart::core {
 /// spectral layer can consume it without depending on core). PipelineConfig
 /// owns the instance every layer passes through.
 using SolverOptions = linalg::SolverOptions;
-using SolverBackend = linalg::SolverBackend;
 using SolverStrategy = linalg::SolverStrategy;
 using ObjectiveModel = linalg::ObjectiveModel;
 
@@ -64,9 +63,9 @@ struct PipelineConfig {
   /// Diversified orderings: run r uses the (r+1)-th longest vector as the
   /// seed vertex; the best split across runs wins.
   std::size_t num_starts = 1;
-  /// Eigensolve configuration: backend (scalar | block), tolerance, dense
-  /// threshold / fallback limit, iteration caps. The former top-level
-  /// dense_threshold / dense_fallback_limit knobs live inside.
+  /// Eigensolve configuration: tolerance, dense threshold / fallback
+  /// limit, iteration caps, strategy (flat | multilevel). The former
+  /// top-level dense_threshold / dense_fallback_limit knobs live inside.
   SolverOptions solver;
   /// Which symmetric operator the spectral pipeline optimizes
   /// (linalg/objective.h): the paper's unnormalized min-cut Laplacian
@@ -102,7 +101,6 @@ struct PipelineConfig {
 std::string_view coord_scaling_token(CoordScaling s);
 std::string_view net_model_token(model::NetModel m);
 std::string_view selection_rule_token(SelectionRule s);
-std::string_view solver_backend_token(SolverBackend b);
 std::string_view solver_strategy_token(SolverStrategy s);
 std::string_view objective_model_token(ObjectiveModel m);
 
@@ -111,18 +109,16 @@ std::string_view objective_model_token(ObjectiveModel m);
 CoordScaling parse_coord_scaling(std::string_view token);
 model::NetModel parse_net_model(std::string_view token);
 SelectionRule parse_selection_rule(std::string_view token);
-SolverBackend parse_solver_backend(std::string_view token);
 SolverStrategy parse_solver_strategy(std::string_view token);
 ObjectiveModel parse_objective_model(std::string_view token);
 
-/// Accepted spellings of each enum knob, " | "-joined ("scalar | block"),
+/// Accepted spellings of each enum knob, " | "-joined ("flat | multilevel"),
 /// generated from the same token tables the parse_* functions read — the
 /// single source of truth the CLI binaries' --help text and the parse
 /// error messages both quote, so they cannot drift.
 const std::string& coord_scaling_tokens();
 const std::string& net_model_tokens();
 const std::string& selection_rule_tokens();
-const std::string& solver_backend_tokens();
 const std::string& solver_strategy_tokens();
 const std::string& objective_model_tokens();
 

@@ -1,42 +1,18 @@
-// Unified eigensolver backend API.
+// Eigensolver configuration.
 //
-// The embedding stage historically talked to lanczos_smallest directly and
-// every caller re-plumbed its own LanczosOptions / EmbeddingOptions knobs.
-// This header collapses that into one seam: SolverOptions is the single
-// solver-configuration struct (owned by core::PipelineConfig and threaded
-// through MeloOptions, the service and the tools), and EigenSolver is the
-// stable interface behind which the scalar Lanczos chain and the block
-// Lanczos driver are interchangeable.
-//
-// Backend contract:
-//  * kScalar — the existing single-vector Lanczos chain (lanczos.h). Given
-//    the same inputs it is byte-identical to the pre-interface code path;
-//    this is the default and the compatibility anchor for cached bases and
-//    recorded wire traffic.
-//  * kBlock — block Lanczos (block_lanczos.h): all wanted directions
-//    advance through one sparse x panel product per step, moving ~b x fewer
-//    Laplacian bytes per eigenpair; bit-identical across thread counts.
-//
-// Stable string tokens for the two backends ("scalar", "block") are parsed
-// and printed in exactly one place: core/pipeline_config.{h,cpp}.
+// SolverOptions is the single solver-configuration struct: core::
+// PipelineConfig owns it and threads it through MeloOptions, the service
+// and the tools. The embedding stage (spectral/embedding.h) maps it onto
+// the one Krylov solver, the single-vector Lanczos chain of lanczos.h —
+// the paper's LASO2 lineage — or onto the multilevel V-cycle.
 #pragma once
 
-#include <cstdint>
-#include <string_view>
-
-#include "linalg/block_lanczos.h"
-#include "linalg/lanczos.h"
-#include "linalg/sparse.h"
-#include "util/budget.h"
-#include "util/parallel.h"
+#include <cstddef>
 
 namespace specpart::linalg {
 
-/// Which eigensolver implementation runs the eigensolve stage.
-enum class SolverBackend { kScalar, kBlock };
-
-/// How the eigensolve is orchestrated. kFlat runs the selected backend
-/// directly on the full-size Laplacian. kMultilevel runs the coarsen /
+/// How the eigensolve is orchestrated. kFlat runs scalar Lanczos directly
+/// on the full-size Laplacian. kMultilevel runs the coarsen /
 /// solve / refine V-cycle (multilevel/vcycle.h): heavy-edge matching
 /// contracts the matrix level by level, the coarsest level is solved
 /// exactly, and the basis is interpolated back up with Chebyshev-filtered
@@ -49,10 +25,8 @@ enum class SolverStrategy { kFlat, kMultilevel };
 /// The one solver-configuration struct. Replaces the ad-hoc spread of
 /// LanczosOptions / EmbeddingOptions fields; PipelineConfig owns an
 /// instance (aliased as core::SolverOptions) and every layer passes it
-/// through unchanged. Fields that only one backend consumes are documented
-/// as such and ignored by the other.
+/// through unchanged.
 struct SolverOptions {
-  SolverBackend backend = SolverBackend::kScalar;
   /// Relative residual tolerance for the iterative solvers, and the
   /// convergence contract recorded in EigenBasis.
   double tolerance = 1e-8;
@@ -66,11 +40,7 @@ struct SolverOptions {
   /// fallback chain enlarges this per attempt, so it is per-call state as
   /// much as configuration.
   std::size_t max_iterations = 0;
-  /// kBlock only: panel width b (0 = automatic).
-  std::size_t block_size = 0;
-  /// kScalar only: reorthogonalization policy.
-  Reorthogonalization reorthogonalization = Reorthogonalization::kFull;
-  /// Orchestration strategy: flat backend solve (default) or the
+  /// Orchestration strategy: flat Lanczos solve (default) or the
   /// multilevel V-cycle. The ml_* knobs below configure the latter and are
   /// ignored under kFlat.
   SolverStrategy strategy = SolverStrategy::kFlat;
@@ -91,31 +61,5 @@ struct SolverOptions {
   /// layer's flat-solve fallback.
   double ml_refine_tolerance = 1e-4;
 };
-
-/// Stateless eigensolve backend: computes the `want` smallest eigenpairs of
-/// a symmetric sparse matrix. Implementations are singletons returned by
-/// eigen_solver(); they hold no per-call state, so one instance serves
-/// concurrent pipelines.
-class EigenSolver {
- public:
-  virtual ~EigenSolver() = default;
-
-  /// Stable backend token ("scalar" | "block"); used in cache keys, wire
-  /// fields, diagnostics and bench rows.
-  virtual std::string_view name() const = 0;
-
-  /// Runs the backend. `seed` is per-call (the embedding fallback chain
-  /// reseeds between attempts); `opts` supplies tolerance / iteration caps;
-  /// threading and budget ride alongside because they are pipeline state,
-  /// not solver configuration.
-  virtual LanczosResult solve_smallest(const SymCsrMatrix& a,
-                                       std::size_t want, std::uint64_t seed,
-                                       const SolverOptions& opts,
-                                       const ParallelConfig& parallel,
-                                       ComputeBudget* budget) const = 0;
-};
-
-/// The process-wide backend instance for `backend`.
-const EigenSolver& eigen_solver(SolverBackend backend);
 
 }  // namespace specpart::linalg

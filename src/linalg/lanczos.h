@@ -71,24 +71,22 @@ struct LanczosResult {
   /// the residual tolerance (eigenpair i converges before j for i < j, so
   /// a prefix is the natural unit of partial success).
   std::size_t num_converged = 0;
-  /// Convergence checks of the Ritz pairs made along the way. A scalar
-  /// check costs at most one O(m^2) bottom-row QL of the projected
-  /// tridiagonal, a block check one band (or dense) Rayleigh-Ritz.
+  /// Convergence checks of the Ritz pairs made along the way. Each costs
+  /// at most one O(m^2) bottom-row QL of the projected tridiagonal.
   std::size_t ritz_checks = 0;
   /// Invariant-subspace restarts taken (fresh random directions).
   std::size_t breakdown_restarts = 0;
   /// True when the iteration stopped because the compute budget ran out.
   bool budget_exhausted = false;
   /// Operator applications, counted in single-column (matvec) equivalents:
-  /// one per iteration for the scalar chain, the block width per SpMM for
-  /// the block driver.
+  /// one per Lanczos iteration, the panel width per SpMM of the multilevel
+  /// V-cycle.
   std::size_t operator_applies = 0;
   /// Leading-order floating-point operations spent (operator applies plus
   /// orthogonalization); per-eigenpair cost = flops / num_converged.
   std::uint64_t flops = 0;
-  /// Matrix CSR bytes streamed (SymCsrMatrix::stream_bytes per sweep). The
-  /// headline block-vs-scalar metric: a d-pair scalar solve sweeps the
-  /// matrix once per iteration, the block solver once per block step.
+  /// Matrix CSR bytes streamed (SymCsrMatrix::stream_bytes per sweep): a
+  /// Lanczos solve sweeps the matrix once per iteration.
   std::uint64_t matrix_bytes_moved = 0;
 };
 

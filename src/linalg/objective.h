@@ -10,7 +10,7 @@
 // with the convention D^{-1/2} = 0 on zero-degree rows (an isolated vertex
 // keeps its all-zero row and a zero diagonal, so trace(N) = count of
 // non-isolated vertices and no solve ever divides by zero). The enum lives
-// here in linalg — like SolverBackend — so the spectral and model layers
+// here in linalg — like SolverStrategy — so the spectral and model layers
 // can consume it without depending on core; the stable string tokens
 // ("unnormalized" | "normalized") are parsed and printed in exactly one
 // place, core/pipeline_config.{h,cpp}.

@@ -6,6 +6,22 @@
 
 namespace specpart::linalg {
 
+namespace {
+
+/// Column cb of q += alpha * column ca of p (disjoint rows: exact).
+void panel_col_axpy(double alpha, const Panel& p, std::size_t ca, Panel& q,
+                    std::size_t cb, const ParallelConfig& par) {
+  const std::size_t pw = p.cols(), qw = q.cols();
+  const double* pd = p.data();
+  double* qd = q.data();
+  parallel_for(par, 0, p.rows(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r)
+      qd[r * qw + cb] += alpha * pd[r * pw + ca];
+  });
+}
+
+}  // namespace
+
 double panel_col_dot(const Panel& p, std::size_t ca, const Panel& q,
                      std::size_t cb, const ParallelConfig& par) {
   const std::size_t pw = p.cols(), qw = q.cols();
@@ -20,17 +36,6 @@ double panel_col_dot(const Panel& p, std::size_t ca, const Panel& q,
         return s;
       },
       [](double acc, double s) { return acc + s; });
-}
-
-void panel_col_axpy(double alpha, const Panel& p, std::size_t ca, Panel& q,
-                    std::size_t cb, const ParallelConfig& par) {
-  const std::size_t pw = p.cols(), qw = q.cols();
-  const double* pd = p.data();
-  double* qd = q.data();
-  parallel_for(par, 0, p.rows(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r)
-      qd[r * qw + cb] += alpha * pd[r * pw + ca];
-  });
 }
 
 void panel_col_scale(Panel& p, std::size_t c, double alpha,
@@ -69,35 +74,6 @@ DenseMatrix panel_dots(const Panel& p, const Panel& w,
   for (std::size_t a = 0; a < pc; ++a)
     for (std::size_t b = 0; b < wc; ++b) c.at(a, b) = flat[a * wc + b];
   return c;
-}
-
-void panel_subtract(Panel& w, const Panel& p, const DenseMatrix& c,
-                    const ParallelConfig& par) {
-  const std::size_t pc = p.cols(), wc = w.cols();
-  SP_ASSERT(c.rows() == pc && c.cols() == wc);
-  parallel_for(par, 0, w.rows(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      const double* pr = p.row(r);
-      double* wr = w.row(r);
-      for (std::size_t a = 0; a < pc; ++a) {
-        const double pa = pr[a];
-        if (pa == 0.0) continue;
-        for (std::size_t col = 0; col < wc; ++col)
-          wr[col] -= pa * c.at(a, col);
-      }
-    }
-  });
-}
-
-void panel_reorthogonalize(const std::vector<Panel>& blocks, Panel& w,
-                           const ParallelConfig& par, std::uint64_t& flops) {
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    for (const Panel& p : blocks) {
-      const DenseMatrix c = panel_dots(p, w, par);
-      panel_subtract(w, p, c, par);
-      flops += 4ull * w.rows() * p.cols() * w.cols();
-    }
-  }
 }
 
 std::size_t panel_qr_cgs2(Panel& x, double breakdown_tol,

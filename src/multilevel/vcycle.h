@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "linalg/eigensolver.h"
+#include "linalg/lanczos.h"
 #include "linalg/sparse.h"
 #include "util/budget.h"
 #include "util/parallel.h"

@@ -34,11 +34,13 @@ spectral::EigenBasis slice_basis(const spectral::EigenBasis& full,
   return out;
 }
 
-/// Solver/strategy tokens of the options that produce a basis, recorded
-/// in the spilled file header for operators inspecting a store directory.
-std::string solver_token_of(const spectral::EmbeddingOptions& opts) {
-  return std::string(core::solver_backend_token(opts.solver.backend));
-}
+/// Solver token of every basis, mixed into both key schemes and written to
+/// every spilled file header. It is the former default backend's token, so
+/// keys and stored files written before stay valid.
+constexpr std::string_view kSolverToken = "scalar";
+
+/// Strategy token of the options that produce a basis, recorded in the
+/// spilled file header for operators inspecting a store directory.
 std::string strategy_token_of(const spectral::EmbeddingOptions& opts) {
   return std::string(core::solver_strategy_token(opts.solver.strategy));
 }
@@ -91,18 +93,18 @@ Fingerprint EmbeddingCache::eigen_key(const graph::Graph& g,
     h.mix_double(e.weight);
   }
   // Solver options: anything that can change the returned bits. The
-  // backend token keeps scalar- and block-solved bases in disjoint cache
-  // domains — their eigenvectors agree only to tolerance, not bitwise.
+  // solver token and the 0 below are constants that keep the pre-existing
+  // key domain (they once held the backend token and the block width).
   h.mix_bool(opts.skip_trivial);
-  h.mix_string(core::solver_backend_token(opts.solver.backend));
+  h.mix_string(kSolverToken);
   h.mix_size(opts.solver.dense_threshold);
   h.mix_size(opts.solver.dense_fallback_limit);
   h.mix_double(opts.solver.tolerance);
   h.mix_size(opts.solver.max_iterations);
-  h.mix_size(opts.solver.block_size);
+  h.mix_size(0);
   // Strategy + V-cycle knobs: a flat-solved and a multilevel-solved basis
   // agree only to the refine tolerance, never bitwise, so they live in
-  // disjoint key domains exactly like the backends above.
+  // disjoint key domains.
   h.mix_string(core::solver_strategy_token(opts.solver.strategy));
   h.mix_size(opts.solver.ml_coarsest_size);
   h.mix_size(opts.solver.ml_refine_degree);
@@ -139,15 +141,15 @@ Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
     hs.mix_double(h.net_weight(e));
   }
   // Solver options: anything that can change the returned bits. The
-  // backend token keeps scalar- and block-solved bases in disjoint cache
-  // domains — a scalar-warmed cache must miss under solver=block.
+  // solver token and the 0 below are constants that keep the pre-existing
+  // key domain (they once held the backend token and the block width).
   hs.mix_bool(opts.skip_trivial);
-  hs.mix_string(core::solver_backend_token(opts.solver.backend));
+  hs.mix_string(kSolverToken);
   hs.mix_size(opts.solver.dense_threshold);
   hs.mix_size(opts.solver.dense_fallback_limit);
   hs.mix_double(opts.solver.tolerance);
   hs.mix_size(opts.solver.max_iterations);
-  hs.mix_size(opts.solver.block_size);
+  hs.mix_size(0);
   // Strategy + V-cycle knobs, mirroring eigen_key: a flat-warmed cache
   // must miss under strategy=multilevel and vice versa.
   hs.mix_string(core::solver_strategy_token(opts.solver.strategy));
@@ -265,7 +267,7 @@ spectral::EigenBasis EmbeddingCache::insert(
   // bigger than RAM is the point of the tier. Failures are counted in
   // the store's stats and degrade to nothing: tier 1 proceeds normally.
   if (disk_ != nullptr && clean)
-    disk_->store(key, full, solver_token_of(opts), strategy_token_of(opts),
+    disk_->store(key, full, kSolverToken, strategy_token_of(opts),
                  objective_token_of(opts));
 
   std::vector<std::pair<Fingerprint, Entry>> spilled;
@@ -286,7 +288,6 @@ spectral::EigenBasis EmbeddingCache::insert(
       Entry entry;
       entry.basis = std::move(full);
       entry.bytes = bytes;
-      entry.solver_token = solver_token_of(opts);
       entry.strategy_token = strategy_token_of(opts);
       entry.objective_token = objective_token_of(opts);
       entry.lru_pos = lru_.begin();
@@ -314,7 +315,6 @@ void EmbeddingCache::promote(const Fingerprint& key,
     Entry entry;
     entry.basis = full;
     entry.bytes = bytes;
-    entry.solver_token = solver_token_of(opts);
     entry.strategy_token = strategy_token_of(opts);
     entry.objective_token = objective_token_of(opts);
     entry.lru_pos = lru_.begin();
@@ -348,7 +348,7 @@ void EmbeddingCache::spill(
   // persisted the entry and store() is idempotent), but it re-persists
   // entries whose earlier spill failed or was evicted from the disk tier.
   for (const auto& [key, entry] : spilled)
-    disk_->store(key, entry.basis, entry.solver_token, entry.strategy_token,
+    disk_->store(key, entry.basis, kSolverToken, entry.strategy_token,
                  entry.objective_token);
 }
 

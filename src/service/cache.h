@@ -170,10 +170,9 @@ class EmbeddingCache {
   struct Entry {
     spectral::EigenBasis basis;
     std::size_t bytes = 0;
-    /// Solver/strategy/objective tokens of the options that produced the
-    /// basis, kept so an evicted entry can still be spilled to tier 2
+    /// Strategy/objective tokens of the options that produced the basis,
+    /// kept so an evicted entry can still be spilled to tier 2
     /// (objective_token is empty for the default objective).
-    std::string solver_token;
     std::string strategy_token;
     std::string objective_token;
     /// Position in lru_ (front = most recently used).

@@ -107,12 +107,8 @@ void write_request(const PartitionRequest& req, std::ostream& out) {
       << " lazy_rerank=" << p.lazy_rerank_interval
       << " net_model=" << core::net_model_token(p.net_model)
       << " starts=" << p.num_starts << " seed=" << p.seed;
-  // Emitted only for non-default backends: absent means scalar, which keeps
-  // the wire bytes of scalar requests identical to the pre-solver protocol.
-  if (p.solver.backend != core::SolverBackend::kScalar)
-    out << " solver=" << core::solver_backend_token(p.solver.backend);
-  // Same non-default-only contract for the orchestration strategy: absent
-  // means flat, so pre-multilevel recorded traffic replays byte-identical.
+  // Emitted only when non-default: absent means flat, so pre-multilevel
+  // recorded traffic replays byte-identical.
   if (p.solver.strategy != core::SolverStrategy::kFlat)
     out << " strategy=" << core::solver_strategy_token(p.solver.strategy);
   // And for the objective model: absent means unnormalized, so recorded
@@ -163,13 +159,12 @@ PartitionRequest parse_request(const std::string& header_line,
     } else if (key == "seed") {
       p.seed = static_cast<std::uint64_t>(parse_size(value, "seed"));
     } else if (key == "solver") {
-      // Absent field = scalar (backward compatible); an unknown token is a
-      // structured bad_request error, not a protocol-level crash.
-      try {
-        p.solver.backend = core::parse_solver_backend(value);
-      } catch (const Error& e) {
-        throw Error(std::string("bad_request: ") + e.what());
-      }
+      // Legacy field, never written: both historical backend tokens run
+      // the one Lanczos solver. An unknown token is a structured
+      // bad_request error, not a protocol-level crash.
+      if (value != "scalar" && value != "block")
+        throw Error("bad_request: unknown solver backend '" + value +
+                    "' (expected scalar | block)");
     } else if (key == "strategy") {
       // Absent field = flat (backward compatible); same structured
       // bad_request contract as the solver field.

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "graph/laplacian.h"
-#include "linalg/eigensolver.h"
+#include "linalg/lanczos.h"
 #include "linalg/symmetric_eigen.h"
 #include "multilevel/vcycle.h"
 #include "util/error.h"
@@ -27,17 +27,23 @@ struct SolveWork {
   std::uint64_t ritz_checks = 0;  // flat attempts only
 };
 
-/// Runs one flat backend attempt, adds its work to `work` and records its
-/// internal recoveries.
+/// Runs one flat Lanczos attempt, adds its work to `work` and records its
+/// internal recoveries. SolverOptions maps onto LanczosOptions field for
+/// field; `seed` is per attempt (the fallback chain reseeds).
 linalg::LanczosResult run_attempt(const linalg::SymCsrMatrix& q,
-                                  const linalg::EigenSolver& solver,
                                   std::size_t want, std::uint64_t seed,
                                   const linalg::SolverOptions& sopts,
                                   const ParallelConfig& parallel,
                                   ComputeBudget* budget, Diagnostics* diag,
                                   SolveWork& work) {
-  linalg::LanczosResult result =
-      solver.solve_smallest(q, want, seed, sopts, parallel, budget);
+  linalg::LanczosOptions lopts;
+  lopts.num_eigenpairs = want;
+  lopts.max_iterations = sopts.max_iterations;
+  lopts.tolerance = sopts.tolerance;
+  lopts.seed = seed;
+  lopts.budget = budget;
+  lopts.parallel = parallel;
+  linalg::LanczosResult result = linalg::lanczos_smallest(q, lopts);
   work.flops += result.flops;
   work.bytes_moved += result.matrix_bytes_moved;
   work.krylov_dim += result.iterations;
@@ -78,8 +84,6 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
     converged = true;
     num_converged = values.size();
   } else {
-    const linalg::EigenSolver& solver =
-        linalg::eigen_solver(opts.solver.backend);
     linalg::SolverOptions sopts = opts.solver;
     std::uint64_t seed = opts.seed;
 
@@ -112,15 +116,14 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
                                 "pair(s); flat solve fallback",
                                 result.num_converged, want));
     }
-    if (!have_result) {
-      result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                           budget, diag, work);
-    }
+    if (!have_result)
+      result = run_attempt(q, want, seed, sopts, opts.parallel, budget, diag,
+                           work);
 
     // Hardened fallback chain for clustered / pathological spectra. Each
     // escalation is recorded; an exhausted budget short-circuits to the
     // best-so-far basis.
-    enum class Step { kReseed, kEnlarge, kFullReorth, kDense, kTruncate };
+    enum class Step { kReseed, kEnlarge, kDense, kTruncate };
     Step step = Step::kReseed;
     bool dense_solved = false;
     while (!result.converged && !result.budget_exhausted &&
@@ -128,25 +131,16 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
       if (step == Step::kReseed) {
         note_fallback(diag, "eigensolver did not converge; reseeded restart");
         seed = seed * 0x9E3779B97F4A7C15ULL + 1;
-        result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                             budget, diag, work);
+        result = run_attempt(q, want, seed, sopts, opts.parallel, budget,
+                             diag, work);
         step = Step::kEnlarge;
       } else if (step == Step::kEnlarge) {
         sopts.max_iterations =
             std::min(n, std::max<std::size_t>(result.iterations * 2, 160));
         note_fallback(diag, strprintf("enlarged Krylov space to %zu",
                                       sopts.max_iterations));
-        result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                             budget, diag, work);
-        step = Step::kFullReorth;
-      } else if (step == Step::kFullReorth) {
-        if (sopts.reorthogonalization !=
-            linalg::Reorthogonalization::kFull) {
-          sopts.reorthogonalization = linalg::Reorthogonalization::kFull;
-          note_fallback(diag, "switched to full reorthogonalization");
-          result = run_attempt(q, solver, want, seed, sopts, opts.parallel,
-                               budget, diag, work);
-        }
+        result = run_attempt(q, want, seed, sopts, opts.parallel, budget,
+                             diag, work);
         step = Step::kDense;
       } else if (step == Step::kDense) {
         if (sopts.dense_fallback_limit > 0 &&

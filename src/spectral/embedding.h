@@ -1,13 +1,14 @@
 // Spectral embedding driver: Laplacian eigenpairs of a graph.
 //
 // Chooses between the exact dense solver (small graphs, test oracles) and
-// Lanczos (everything else). The Lanczos path is wrapped in a hardened
-// fallback chain — reseeded restart, enlarged Krylov space, full
-// reorthogonalization, dense solve even above the threshold, and finally
-// truncation to the converged eigenpair prefix — so a clustered spectrum
-// degrades the basis gracefully instead of aborting the pipeline. Every
-// recovery step is recorded in the optional Diagnostics sink. All spectral
-// heuristics (SB, RSB, KP, SFC, MELO) get their eigenvectors from here.
+// Lanczos (everything else), optionally preceded by the multilevel
+// V-cycle. The Lanczos path is wrapped in a hardened fallback chain —
+// reseeded restart, enlarged Krylov space, dense solve even above the
+// threshold, and finally truncation to the converged eigenpair prefix —
+// so a clustered spectrum degrades the basis gracefully instead of
+// aborting the pipeline. Every recovery step is recorded in the optional
+// Diagnostics sink. All spectral heuristics (SB, RSB, KP, SFC, MELO) get
+// their eigenvectors from here.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +32,8 @@ struct EmbeddingOptions {
   /// Drop the trivial first pair and return the `count` pairs after it.
   bool skip_trivial = false;
   std::uint64_t seed = 0xABCDEFULL;
-  /// The one solver-configuration struct: backend selection (scalar |
-  /// block), tolerance, dense threshold / fallback limit, iteration caps.
+  /// The one solver-configuration struct: tolerance, dense threshold /
+  /// fallback limit, iteration caps, flat or multilevel strategy.
   /// Replaces the former per-field knobs (dense_threshold, tolerance,
   /// dense_fallback_limit) that every caller re-plumbed separately.
   linalg::SolverOptions solver;
@@ -75,8 +76,6 @@ struct EigenBasis {
   /// over every fallback attempt (0 for the dense path and cache hits).
   std::uint64_t solve_flops = 0;
   /// Laplacian CSR bytes streamed by the eigensolve, summed over attempts.
-  /// The block backend's headline win: ~b x fewer bytes per eigenpair than
-  /// the scalar chain.
   std::uint64_t solve_bytes_moved = 0;
 
   std::size_t dimension() const { return values.size(); }

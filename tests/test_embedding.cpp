@@ -6,6 +6,7 @@
 #include "graph/graph.h"
 #include "graph/laplacian.h"
 #include "linalg/lanczos.h"
+#include "model/assembly.h"
 #include "spectral/embedding.h"
 #include "util/status.h"
 
@@ -59,18 +60,35 @@ TEST(Embedding, TraceIsSumOfAllEigenvalues) {
 }
 
 TEST(Embedding, LanczosPathAgreesWithDense) {
-  // Force the sparse path by setting a tiny dense threshold.
-  const graph::Graph g = path(200);
-  EmbeddingOptions dense_opts;
-  dense_opts.count = 5;
-  dense_opts.solver.dense_threshold = 1000;
-  EmbeddingOptions sparse_opts = dense_opts;
-  sparse_opts.solver.dense_threshold = 0;
-  const EigenBasis a = compute_eigenbasis(g, dense_opts);
-  const EigenBasis b = compute_eigenbasis(g, sparse_opts);
-  ASSERT_TRUE(b.converged);
-  for (std::size_t j = 0; j < 5; ++j)
-    EXPECT_NEAR(a.values[j], b.values[j], 1e-6) << "pair " << j;
+  // Clique-model Laplacian of a degenerate netlist: a 0-pin net, 1-pin
+  // nets, and vertex 9 appearing only in a 1-pin net, so the Laplacian
+  // has an empty row and a 2-dimensional kernel.
+  const graph::Hypergraph degenerate(10, {{},
+                                          {3},
+                                          {9},
+                                          {0, 1, 2, 3},
+                                          {2, 3, 4, 5},
+                                          {4, 5, 6, 7, 8},
+                                          {0, 6, 7},
+                                          {1, 8}});
+  const linalg::SymCsrMatrix inputs[] = {
+      graph::build_laplacian(path(200)),
+      model::build_clique_laplacian(degenerate, model::NetModel::kStandard)};
+  for (const linalg::SymCsrMatrix& q : inputs) {
+    SCOPED_TRACE(q.size());
+    // Force the sparse path by setting a tiny dense threshold.
+    EmbeddingOptions dense_opts;
+    dense_opts.count = 5;
+    dense_opts.solver.dense_threshold = 1000;
+    EmbeddingOptions sparse_opts = dense_opts;
+    sparse_opts.solver.dense_threshold = 0;
+    const EigenBasis a = compute_eigenbasis(q, dense_opts);
+    const EigenBasis b = compute_eigenbasis(q, sparse_opts);
+    ASSERT_TRUE(b.converged);
+    ASSERT_EQ(b.dimension(), 5u);
+    for (std::size_t j = 0; j < 5; ++j)
+      EXPECT_NEAR(a.values[j], b.values[j], 1e-6) << "pair " << j;
+  }
 }
 
 TEST(Embedding, SolveCountersMatchTheLanczosRun) {

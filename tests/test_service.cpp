@@ -118,34 +118,6 @@ TEST(Cache, KeyIgnoresUnrelatedOptionsButSeesGraphAndSolver) {
   EXPECT_EQ(base, EmbeddingCache::eigen_key(g, threaded, 16));
 }
 
-TEST(Cache, SolverBackendsLiveInDisjointKeyDomains) {
-  // The eigensolver backend changes the numerical content of the basis,
-  // so scalar- and block-produced embeddings must never alias: a cache
-  // warmed by scalar requests has to miss when the same netlist arrives
-  // with solver=block.
-  const graph::Graph g = model::clique_expand(
-      small_netlist(), model::NetModel::kPartitioningSpecific);
-  spectral::EmbeddingOptions e;
-  spectral::EmbeddingOptions blocked = e;
-  blocked.solver.backend = linalg::SolverBackend::kBlock;
-  EXPECT_NE(EmbeddingCache::eigen_key(g, e, 16),
-            EmbeddingCache::eigen_key(g, blocked, 16));
-
-  PartitionService svc;
-  PartitionRequest req = make_request();
-  const PartitionResponse scalar_resp = svc.execute(req);  // warms the cache
-  req.pipeline.solver.backend = core::SolverBackend::kBlock;
-  const PartitionResponse block_resp = svc.execute(req);
-  EXPECT_EQ(scalar_resp.status, "ok");
-  EXPECT_EQ(block_resp.status, "ok");
-
-  const EmbeddingCacheStats s = svc.cache_stats();
-  EXPECT_EQ(s.lookups, 2u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 2u);
-}
-
 TEST(Cache, SolverStrategiesLiveInDisjointKeyDomains) {
   // The solve strategy changes the numerical content of the basis (the
   // V-cycle converges to its own acceptance bound, not the flat chain's),
@@ -586,44 +558,47 @@ TEST(Protocol, MalformedInputThrows) {
   EXPECT_THROW(read_request(truncated), Error);
 }
 
-TEST(Protocol, SolverFieldDefaultsToScalarAndRoundTrips) {
-  // Scalar requests must serialize to the exact pre-solver-field bytes
-  // (absent field == scalar), so old clients and recorded wire traffic
-  // keep working; block requests carry the field and round-trip.
-  PartitionRequest req = make_request();
-  std::ostringstream scalar_wire;
-  write_request(req, scalar_wire);
-  EXPECT_EQ(scalar_wire.str().find(" solver="), std::string::npos);
-  std::istringstream scalar_in(scalar_wire.str());
-  const std::optional<PartitionRequest> scalar_parsed =
-      read_request(scalar_in);
-  ASSERT_TRUE(scalar_parsed.has_value());
-  EXPECT_EQ(scalar_parsed->pipeline.solver.backend,
-            core::SolverBackend::kScalar);
+TEST(Protocol, LegacySolverTokensServeTheDefaultBytes) {
+  // The solver= field is never written, but frames that carry either
+  // historical backend token still parse and run the one Lanczos solver:
+  // they re-serialize to the default frame, hit the cache the default
+  // request warmed and get its RESPONSE bytes.
+  const PartitionRequest req = make_request();
+  std::ostringstream default_wire;
+  write_request(req, default_wire);
+  const std::string frame = default_wire.str();
+  const std::size_t at = frame.find(" graph_lines=");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(frame.find(" solver="), std::string::npos);
 
-  req.pipeline.solver.backend = core::SolverBackend::kBlock;
-  std::ostringstream first;
-  write_request(req, first);
-  EXPECT_NE(first.str().find(" solver=block"), std::string::npos);
-  std::istringstream in(first.str());
-  const std::optional<PartitionRequest> parsed = read_request(in);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->pipeline.solver.backend, core::SolverBackend::kBlock);
-  std::ostringstream second;
-  write_request(*parsed, second);
-  EXPECT_EQ(first.str(), second.str());
-}
+  PartitionService svc;
+  const std::string expected = wire(svc.execute(req));
+  for (const char* token : {"scalar", "block"}) {
+    SCOPED_TRACE(token);
+    std::string legacy = frame;
+    legacy.insert(at, std::string(" solver=") + token);
+    std::istringstream in(legacy);
+    const std::optional<PartitionRequest> parsed = read_request(in);
+    ASSERT_TRUE(parsed.has_value());
+    std::ostringstream again;
+    write_request(*parsed, again);
+    EXPECT_EQ(again.str(), frame);
+    EXPECT_EQ(wire(svc.execute(*parsed)), expected);
+  }
+  const EmbeddingCacheStats stats = svc.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
 
-TEST(Protocol, UnknownSolverTokenIsStructuredBadRequest) {
-  std::istringstream bad(
-      "REQUEST id=x solver=qr_iteration graph_lines=0\nEND\n");
+  std::string bogus = frame;
+  bogus.insert(at, " solver=bogus");
+  std::istringstream bad(bogus);
   try {
     read_request(bad);
     FAIL() << "unknown solver token must be rejected";
   } catch (const Error& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("bad_request"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("qr_iteration"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("bogus"), std::string::npos) << msg;
   }
 }
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "graph/generator.h"
+#include "model/assembly.h"
+#include "model/clique_models.h"
 #include "service/cache.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -519,6 +521,67 @@ TEST(ServiceTier2, MetricsFrameIsByteStableWhenTierDisabled) {
   for (const auto& [key, value] : snap.key_values())
     EXPECT_EQ(key.rfind("storage_", 0), std::string::npos) << key;
   EXPECT_EQ(snap.render_text().find("storage"), std::string::npos);
+}
+
+TEST(ServiceTier2, GoldenKeysAndHeaderTokensOfStoredBases) {
+  // Cross-version pin: a tier-2 store written by any earlier build must
+  // still hit, so both key schemes and the spilled header tokens are
+  // frozen to these literal values for a fixed netlist.
+  struct Golden {
+    const char* name;
+    linalg::SolverStrategy strategy;
+    linalg::ObjectiveModel objective;
+    const char* eigen_key;
+    const char* netlist_key;
+    const char* strategy_token;
+    const char* objective_token;
+  };
+  const Golden cases[] = {
+      {"flat", linalg::SolverStrategy::kFlat,
+       linalg::ObjectiveModel::kUnnormalized,
+       "cd3a6fdba9671123b1adab9b17f223f9",
+       "e4d76ee0880686ed0b7cbda8fefcee67", "flat", "unnormalized"},
+      {"multilevel", linalg::SolverStrategy::kMultilevel,
+       linalg::ObjectiveModel::kUnnormalized,
+       "3437ad56fb8c2c116ca42207647e72b4",
+       "8f325f208736be0f155cf22083e5a038", "multilevel", "unnormalized"},
+      {"normalized", linalg::SolverStrategy::kFlat,
+       linalg::ObjectiveModel::kNormalizedSymmetric,
+       "255826ff9f67822188c4408c0ce3c4f3",
+       "e88b1277833ec7d009e06dc71bd17364", "flat", "normalized"},
+  };
+  const graph::Hypergraph h = tier_netlist();
+  const graph::Graph g =
+      model::clique_expand(h, model::NetModel::kPartitioningSpecific);
+  for (const Golden& c : cases) {
+    SCOPED_TRACE(c.name);
+    spectral::EmbeddingOptions e;
+    e.count = 16;
+    e.solver.strategy = c.strategy;
+    e.objective = c.objective;
+    EXPECT_EQ(service::EmbeddingCache::eigen_key(g, e, 16).hex(),
+              c.eigen_key);
+    const Fingerprint key = service::EmbeddingCache::netlist_key(
+        h, model::NetModel::kPartitioningSpecific, 0, e, 16);
+    EXPECT_EQ(key.hex(), c.netlist_key);
+
+    TempDir dir("golden");
+    service::EmbeddingCacheOptions copts;
+    copts.cache_dir = dir.path();
+    service::EmbeddingCache cache(copts);
+    model::CliqueModel cm(h, model::NetModel::kPartitioningSpecific);
+    cache.compute(cm, e, nullptr, nullptr);
+    std::vector<BasisHeader> headers;
+    for (const auto& f : fs::directory_iterator(dir.path()))
+      if (auto hdr = read_basis_header(f.path().string()))
+        headers.push_back(*hdr);
+    ASSERT_EQ(headers.size(), 1u);
+    EXPECT_EQ(headers[0].key, key);
+    EXPECT_EQ(headers[0].d, 16u);
+    EXPECT_EQ(headers[0].solver_token, "scalar");
+    EXPECT_EQ(headers[0].strategy_token, c.strategy_token);
+    EXPECT_EQ(headers[0].objective_token, c.objective_token);
+  }
 }
 
 }  // namespace
