@@ -44,24 +44,6 @@ BENCHMARK(BM_LanczosSmallest)
     ->Args({6000, 10})
     ->Unit(benchmark::kMillisecond);
 
-void BM_LanczosSelective(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto d = static_cast<std::size_t>(state.range(1));
-  const linalg::SymCsrMatrix q = benchmark_laplacian(n);
-  for (auto _ : state) {
-    linalg::LanczosOptions opts;
-    opts.num_eigenpairs = d;
-    opts.reorthogonalization = linalg::Reorthogonalization::kSelective;
-    benchmark::DoNotOptimize(linalg::lanczos_smallest(q, opts));
-  }
-  state.SetLabel("n=" + std::to_string(n) + " d=" + std::to_string(d) +
-                 " selective");
-}
-BENCHMARK(BM_LanczosSelective)
-    ->Args({2000, 10})
-    ->Args({6000, 10})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_LanczosSmallestThreaded(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));

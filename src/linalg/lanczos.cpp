@@ -15,7 +15,9 @@ namespace {
 /// dot(a, b) with the configured threading. Serial keeps the plain
 /// left-to-right sum (byte-identical to the original implementation);
 /// parallel uses the fixed-block deterministic reduction, so every thread
-/// count >= 2 produces the same bits.
+/// count >= 2 produces the same bits. The serial branch is not a duplicate
+/// of the parallel one: the blocked sum rounds differently, so it stays as
+/// the single-thread reference.
 double pdot(const Vec& a, const Vec& b, const ParallelConfig& par) {
   if (par.serial()) return dot(a, b);
   return parallel_reduce<double>(
@@ -28,12 +30,9 @@ double pdot(const Vec& a, const Vec& b, const ParallelConfig& par) {
       [](double acc, double s) { return acc + s; });
 }
 
-/// y += alpha * x by disjoint row blocks (exact for any blocking).
+/// y += alpha * x by disjoint row blocks (exact for any blocking; at one
+/// thread parallel_for runs the whole range as one block).
 void paxpy(double alpha, const Vec& x, Vec& y, const ParallelConfig& par) {
-  if (par.serial()) {
-    axpy(alpha, x, y);
-    return;
-  }
   parallel_for(par, 0, x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) y[r] += alpha * x[r];
   });
@@ -43,7 +42,9 @@ void paxpy(double alpha, const Vec& x, Vec& y, const ParallelConfig& par) {
 /// sweeps: one is not enough once the basis grows).
 ///
 /// Serial: modified Gram-Schmidt, one dot+axpy per basis vector — the
-/// original (reference) implementation. Parallel: classical Gram-Schmidt
+/// original (reference) implementation, kept because MGS and CGS2 give
+/// different bits, so neither branch can stand in for the other.
+/// Parallel: classical Gram-Schmidt
 /// with two sweeps (CGS2), each sweep a blocked multi-vector panel — one
 /// pass computing every coefficient c_i = w . v_i per row block, one pass
 /// applying w -= sum_i c_i v_i. The panels stream the whole basis through
@@ -164,15 +165,6 @@ LanczosResult lanczos_largest_op(
     return true;
   };
 
-  // Selective-reorthogonalization state (Simon's omega recurrence):
-  // omega_cur[i] estimates |v_j . v_i|, omega_prev[i] the same for j-1.
-  const bool selective =
-      opts.reorthogonalization == Reorthogonalization::kSelective;
-  const double eps_unit = 2.2e-16;
-  const double omega_threshold = std::sqrt(eps_unit);
-  std::vector<double> omega_prev, omega_cur, omega_next;
-  bool force_reorth = false;  // sweep two consecutive iterations
-
   // FLOP counter (leading-order, integer bookkeeping only): 8n per
   // iteration for the three BLAS-1 ops plus the beta norm, 16 n m per
   // full-reorthogonalization sweep pair (CGS2/MGS2 over an m-vector basis).
@@ -190,46 +182,11 @@ LanczosResult lanczos_largest_op(
       paxpy(-betas[j - 1], basis[j - 1], w, par);
     const double alpha = pdot(w, basis[j], par);
     paxpy(-alpha, basis[j], w, par);
-    if (!selective) {
-      reorthogonalize(basis, w, par);
-      count_reorth(basis.size());
-    }
+    reorthogonalize(basis, w, par);
+    count_reorth(basis.size());
     alphas.push_back(alpha);
 
     double beta = std::sqrt(pdot(w, w, par));
-    if (selective && beta > breakdown_tol) {
-      if (j == 0) omega_cur.assign(1, 1.0);
-      // Advance the omega recurrence: omega_next[i] ~ |v_{j+1} . v_i|.
-      // B(t) couples v_{t-1} and v_t; with our storage B(t) = betas[t-1].
-      omega_next.assign(j + 2, 0.0);
-      const double noise = eps_unit * (op_scale / beta) * 2.0;
-      for (std::size_t i = 0; i < j; ++i) {
-        double num = betas[i] * omega_cur[i + 1] +
-                     (alphas[i] - alphas[j]) * omega_cur[i];
-        if (i > 0) num += betas[i - 1] * omega_cur[i - 1];
-        if (j > 0 && i < omega_prev.size()) num -= betas[j - 1] * omega_prev[i];
-        omega_next[i] = num / beta + noise;
-      }
-      if (j >= 1)
-        omega_next[j] =
-            eps_unit * std::sqrt(static_cast<double>(n)) * (op_scale / beta);
-      omega_next[j + 1] = 1.0;
-
-      double worst = 0.0;
-      for (std::size_t i = 0; i <= j; ++i)
-        worst = std::max(worst, std::fabs(omega_next[i]));
-      const bool trigger = worst > omega_threshold;
-      if (trigger || force_reorth) {
-        reorthogonalize(basis, w, par);
-        count_reorth(basis.size());
-        beta = std::sqrt(pdot(w, w, par));
-        for (std::size_t i = 0; i <= j; ++i) omega_next[i] = eps_unit;
-        force_reorth = trigger;  // sweep once more after a fresh trigger
-      }
-      omega_prev = std::move(omega_cur);
-      omega_cur = std::move(omega_next);
-      omega_next.clear();
-    }
     if (SP_FAULT("lanczos.force_breakdown")) beta = 0.0;
     if (beta <= breakdown_tol) {
       // Invariant subspace found. Restart with a fresh random direction
@@ -249,12 +206,6 @@ LanczosResult lanczos_largest_op(
       }
       ++result.breakdown_restarts;
       v = std::move(fresh);
-      if (selective) {
-        // The restart direction is explicitly orthogonalized.
-        omega_prev = omega_cur;
-        omega_cur.assign(j + 2, eps_unit);
-        omega_cur.back() = 1.0;
-      }
     } else {
       betas.push_back(beta);
       scale(w, 1.0 / beta);

@@ -21,15 +21,6 @@
 
 namespace specpart::linalg {
 
-/// Reorthogonalization policy.
-///  * kFull — w is orthogonalized against the whole basis every iteration
-///    (robust; O(n m^2) total).
-///  * kSelective — Simon's omega recurrence estimates the loss of
-///    orthogonality and triggers a full sweep only when the estimate
-///    crosses sqrt(machine epsilon); this is the strategy family LASO2
-///    [39] used, and is noticeably faster at large Krylov dimensions.
-enum class Reorthogonalization { kFull, kSelective };
-
 /// Tuning knobs for the Lanczos solver. Defaults are good for clique-model
 /// Laplacians of circuits with up to ~10^5 vertices.
 struct LanczosOptions {
@@ -43,7 +34,6 @@ struct LanczosOptions {
   double tolerance = 1e-9;
   /// Seed for the random start vector.
   std::uint64_t seed = 0xC0FFEEULL;
-  Reorthogonalization reorthogonalization = Reorthogonalization::kFull;
   /// Optional shared compute budget (nullptr = unlimited). One Lanczos
   /// iteration costs one budget unit; on exhaustion the solver stops and
   /// returns the best Ritz pairs of the basis built so far (at least one

@@ -34,9 +34,8 @@ spectral::EigenBasis slice_basis(const spectral::EigenBasis& full,
   return out;
 }
 
-/// Solver token of every basis, mixed into both key schemes and written to
-/// every spilled file header. It is the former default backend's token, so
-/// keys and stored files written before stay valid.
+/// Solver token mixed into every key. It is the former default backend's
+/// token, so keys written before stay valid.
 constexpr std::string_view kSolverToken = "scalar";
 
 /// Strategy token of the options that produce a basis, recorded in the
@@ -77,49 +76,6 @@ std::size_t EmbeddingCache::basis_bytes(const spectral::EigenBasis& basis) {
          sizeof(double) * basis.vectors.rows() * basis.vectors.cols();
 }
 
-Fingerprint EmbeddingCache::eigen_key(const graph::Graph& g,
-                                      const spectral::EmbeddingOptions& opts,
-                                      std::size_t solve_count) {
-  Hasher h;
-  h.mix_string("specpart.eigenbasis.v1");
-  // Graph content: the CSR arrays fully determine the Laplacian. The
-  // canonical unique edge list (u < v, ascending) plus the vertex count is
-  // that content without the redundant adjacency mirror.
-  h.mix_size(g.num_nodes());
-  h.mix_size(g.num_edges());
-  for (const graph::Edge& e : g.edges()) {
-    h.mix_u64(static_cast<std::uint64_t>(e.u) |
-              (static_cast<std::uint64_t>(e.v) << 32));
-    h.mix_double(e.weight);
-  }
-  // Solver options: anything that can change the returned bits. The
-  // solver token and the 0 below are constants that keep the pre-existing
-  // key domain (they once held the backend token and the block width).
-  h.mix_bool(opts.skip_trivial);
-  h.mix_string(kSolverToken);
-  h.mix_size(opts.solver.dense_threshold);
-  h.mix_size(opts.solver.dense_fallback_limit);
-  h.mix_double(opts.solver.tolerance);
-  h.mix_size(opts.solver.max_iterations);
-  h.mix_size(0);
-  // Strategy + V-cycle knobs: a flat-solved and a multilevel-solved basis
-  // agree only to the refine tolerance, never bitwise, so they live in
-  // disjoint key domains.
-  h.mix_string(core::solver_strategy_token(opts.solver.strategy));
-  h.mix_size(opts.solver.ml_coarsest_size);
-  h.mix_size(opts.solver.ml_refine_degree);
-  h.mix_size(opts.solver.ml_refine_sweeps);
-  h.mix_double(opts.solver.ml_refine_tolerance);
-  // Objective model: normalized and unnormalized bases are spectra of
-  // different operators, so they must live in disjoint key domains. Mixed
-  // only when non-default so every pre-objective key is bit-preserved.
-  if (opts.objective != linalg::ObjectiveModel::kUnnormalized)
-    h.mix_string(core::objective_model_token(opts.objective));
-  h.mix_u64(opts.seed);
-  h.mix_size(solve_count);
-  return h.digest();
-}
-
 Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
                                         model::NetModel net_model,
                                         std::size_t max_net_size,
@@ -150,16 +106,18 @@ Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
   hs.mix_double(opts.solver.tolerance);
   hs.mix_size(opts.solver.max_iterations);
   hs.mix_size(0);
-  // Strategy + V-cycle knobs, mirroring eigen_key: a flat-warmed cache
-  // must miss under strategy=multilevel and vice versa.
+  // Strategy + V-cycle knobs: a flat-solved and a multilevel-solved basis
+  // agree only to the refine tolerance, never bitwise, so a flat-warmed
+  // cache must miss under strategy=multilevel and vice versa.
   hs.mix_string(core::solver_strategy_token(opts.solver.strategy));
   hs.mix_size(opts.solver.ml_coarsest_size);
   hs.mix_size(opts.solver.ml_refine_degree);
   hs.mix_size(opts.solver.ml_refine_sweeps);
   hs.mix_double(opts.solver.ml_refine_tolerance);
-  // Objective model, mirroring eigen_key: an unnormalized-warmed cache
-  // must miss under objective=normalized. Gated so default keys are
-  // bit-identical to the pre-objective domain.
+  // Objective model: normalized and unnormalized bases are spectra of
+  // different operators, so an unnormalized-warmed cache must miss under
+  // objective=normalized. Gated so default keys are bit-identical to the
+  // pre-objective domain.
   if (opts.objective != linalg::ObjectiveModel::kUnnormalized)
     hs.mix_string(core::objective_model_token(opts.objective));
   hs.mix_u64(opts.seed);
@@ -183,33 +141,13 @@ spectral::EigenBasis EmbeddingCache::compute(
   if (spectral::EigenBasis hit; disk_lookup(key, opts.count, opts, diag, hit))
     return hit;  // still never expanded: tier 2 is keyed the same way
 
-  spectral::EmbeddingOptions solve_opts = opts;
-  solve_opts.count = solve_count;
-  spectral::EigenBasis full = spectral::compute_eigenbasis(
-      cm.operator_matrix(opts.objective, diag), solve_opts, diag, budget);
-  return insert(key, std::move(full), opts.count, opts, diag);
-}
-
-spectral::EigenBasis EmbeddingCache::compute(
-    const graph::Graph& g, const spectral::EmbeddingOptions& opts,
-    Diagnostics* diag, ComputeBudget* budget) {
-  if (opts_.max_bytes == 0)  // caching disabled: raw pipeline behavior
-    return spectral::compute_eigenbasis(g, opts, diag, budget);
-
-  const std::size_t solve_count = quantized_count(opts.count);
-  const Fingerprint key = eigen_key(g, opts, solve_count);
-  if (spectral::EigenBasis hit; lookup(key, opts.count, diag, hit))
-    return hit;
-  if (spectral::EigenBasis hit; disk_lookup(key, opts.count, opts, diag, hit))
-    return hit;
-
   // Miss: solve at the quantized dimension outside the lock (concurrent
   // misses on the same key both solve; the solver is deterministic, so
   // whichever insertion lands is bit-identical to the other).
   spectral::EmbeddingOptions solve_opts = opts;
   solve_opts.count = solve_count;
-  spectral::EigenBasis full =
-      spectral::compute_eigenbasis(g, solve_opts, diag, budget);
+  spectral::EigenBasis full = spectral::compute_eigenbasis(
+      cm.operator_matrix(opts.objective, diag), solve_opts, diag, budget);
   return insert(key, std::move(full), opts.count, opts, diag);
 }
 
@@ -243,8 +181,8 @@ bool EmbeddingCache::disk_lookup(const Fingerprint& key, std::size_t count,
   // receive a truncated slice, breaking the determinism contract.
   std::optional<spectral::EigenBasis> full = disk_->load(key);
   if (!full) return false;
-  promote(key, *full, opts);
   out = slice_basis(*full, count);
+  promote(key, std::move(*full), opts);
   if (diag != nullptr)
     diag->record_stage("embedding_cache_disk_hit", timer.seconds());
   return true;
@@ -267,7 +205,7 @@ spectral::EigenBasis EmbeddingCache::insert(
   // bigger than RAM is the point of the tier. Failures are counted in
   // the store's stats and degrade to nothing: tier 1 proceeds normally.
   if (disk_ != nullptr && clean)
-    disk_->store(key, full, kSolverToken, strategy_token_of(opts),
+    disk_->store(key, full, strategy_token_of(opts),
                  objective_token_of(opts));
 
   std::vector<std::pair<Fingerprint, Entry>> spilled;
@@ -283,48 +221,42 @@ spectral::EigenBasis EmbeddingCache::insert(
                              bytes, opts_.max_bytes));
       return sliced;
     }
-    if (entries_.find(key) == entries_.end()) {  // first concurrent solve wins
-      lru_.push_front(key);
-      Entry entry;
-      entry.basis = std::move(full);
-      entry.bytes = bytes;
-      entry.strategy_token = strategy_token_of(opts);
-      entry.objective_token = objective_token_of(opts);
-      entry.lru_pos = lru_.begin();
-      entries_.emplace(key, std::move(entry));
-      stats_.bytes += bytes;
-      stats_.entries = entries_.size();
-      ++stats_.insertions;
-      evict_to_budget_locked(spilled);
-    }
+    emplace_locked(key, std::move(full), bytes, opts, spilled);
   }
   spill(spilled);
   return sliced;
 }
 
 void EmbeddingCache::promote(const Fingerprint& key,
-                             const spectral::EigenBasis& full,
+                             spectral::EigenBasis full,
                              const spectral::EmbeddingOptions& opts) {
   std::vector<std::pair<Fingerprint, Entry>> spilled;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const std::size_t bytes = basis_bytes(full);
     if (bytes > opts_.max_bytes) return;  // disk-only entry; serve the slice
-    if (entries_.find(key) != entries_.end()) return;
-    lru_.push_front(key);
-    Entry entry;
-    entry.basis = full;
-    entry.bytes = bytes;
-    entry.strategy_token = strategy_token_of(opts);
-    entry.objective_token = objective_token_of(opts);
-    entry.lru_pos = lru_.begin();
-    entries_.emplace(key, std::move(entry));
-    stats_.bytes += bytes;
-    stats_.entries = entries_.size();
-    ++stats_.insertions;
-    evict_to_budget_locked(spilled);
+    emplace_locked(key, std::move(full), bytes, opts, spilled);
   }
   spill(spilled);
+}
+
+void EmbeddingCache::emplace_locked(
+    const Fingerprint& key, spectral::EigenBasis basis, std::size_t bytes,
+    const spectral::EmbeddingOptions& opts,
+    std::vector<std::pair<Fingerprint, Entry>>& spilled) {
+  if (entries_.find(key) != entries_.end()) return;
+  lru_.push_front(key);
+  Entry entry;
+  entry.basis = std::move(basis);
+  entry.bytes = bytes;
+  entry.strategy_token = strategy_token_of(opts);
+  entry.objective_token = objective_token_of(opts);
+  entry.lru_pos = lru_.begin();
+  entries_.emplace(key, std::move(entry));
+  stats_.bytes += bytes;
+  stats_.entries = entries_.size();
+  ++stats_.insertions;
+  evict_to_budget_locked(spilled);
 }
 
 void EmbeddingCache::evict_to_budget_locked(
@@ -348,7 +280,7 @@ void EmbeddingCache::spill(
   // persisted the entry and store() is idempotent), but it re-persists
   // entries whose earlier spill failed or was evicted from the disk tier.
   for (const auto& [key, entry] : spilled)
-    disk_->store(key, entry.basis, kSolverToken, entry.strategy_token,
+    disk_->store(key, entry.basis, entry.strategy_token,
                  entry.objective_token);
 }
 

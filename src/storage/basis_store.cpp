@@ -116,10 +116,13 @@ bool objective_is_default(std::string_view token) {
   return token.empty() || token == "unnormalized";
 }
 
+/// Solver token written into every header: the former default backend's
+/// token, so header bytes match files written by older builds.
+constexpr std::string_view kSolverToken = "scalar";
+
 /// Serialized header bytes (exactly kHeaderBytes, checksum filled in).
 std::vector<unsigned char> encode_header(const Fingerprint& key,
                                          const spectral::EigenBasis& basis,
-                                         std::string_view solver_token,
                                          std::string_view strategy_token,
                                          std::string_view objective_token,
                                          std::size_t chunk_cols,
@@ -135,7 +138,7 @@ std::vector<unsigned char> encode_header(const Fingerprint& key,
   append_u64(h, key.hi);
   append_u64(h, key.lo);
   append_f64(h, basis.laplacian_trace);
-  append_token(h, solver_token);
+  append_token(h, kSolverToken);
   append_token(h, strategy_token);
   append_u64(h, values_checksum);
   append_u64(h, checksum64(h.data(), h.size()));  // header checksum
@@ -181,7 +184,6 @@ std::size_t basis_file_size(std::size_t n, std::size_t d,
 
 void write_basis_file(const std::string& path, const Fingerprint& key,
                       const spectral::EigenBasis& basis,
-                      std::string_view solver_token,
                       std::string_view strategy_token,
                       std::string_view objective_token,
                       std::size_t chunk_cols) {
@@ -195,8 +197,7 @@ void write_basis_file(const std::string& path, const Fingerprint& key,
   for (std::size_t j = 0; j < d; ++j) append_f64(values, basis.values[j]);
 
   const std::vector<unsigned char> header =
-      encode_header(key, basis, solver_token, strategy_token,
-                    objective_token, chunk_cols,
+      encode_header(key, basis, strategy_token, objective_token, chunk_cols,
                     checksum64(values.data(), values.size()));
 
   File f(std::fopen(path.c_str(), "wb"));

@@ -65,6 +65,8 @@ struct BasisHeader {
   /// Content key the entry was stored under (the eigensolve fingerprint).
   Fingerprint key;
   double laplacian_trace = 0.0;
+  /// Decoded as stored: this build always writes "scalar", but files come
+  /// from outside the program and older builds wrote other tokens.
   std::string solver_token;
   std::string strategy_token;
   /// Objective-model token of the operator the basis was solved on.
@@ -96,7 +98,6 @@ std::size_t basis_file_size(std::size_t n, std::size_t d,
 /// the zone zeroed, keeping default files byte-identical to the v1 layout.
 void write_basis_file(const std::string& path, const Fingerprint& key,
                       const spectral::EigenBasis& basis,
-                      std::string_view solver_token,
                       std::string_view strategy_token,
                       std::string_view objective_token = {},
                       std::size_t chunk_cols = kDefaultChunkCols);

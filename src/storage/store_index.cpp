@@ -136,7 +136,6 @@ std::optional<spectral::EigenBasis> StoreIndex::load(const Fingerprint& key,
 
 bool StoreIndex::store(const Fingerprint& key,
                        const spectral::EigenBasis& basis,
-                       std::string_view solver_token,
                        std::string_view strategy_token,
                        std::string_view objective_token) {
   const std::string path = entry_path(key);
@@ -154,8 +153,8 @@ bool StoreIndex::store(const Fingerprint& key,
   // write identical bytes, so last-rename-wins is harmless.
   const std::string tmp = path + std::string(kTempSuffix);
   try {
-    write_basis_file(tmp, key, basis, solver_token, strategy_token,
-                     objective_token, opts_.chunk_cols);
+    write_basis_file(tmp, key, basis, strategy_token, objective_token,
+                     opts_.chunk_cols);
   } catch (const Error&) {
     std::error_code ec;
     fs::remove(tmp, ec);  // a failed write must not leave debris

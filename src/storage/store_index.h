@@ -85,7 +85,7 @@ class StoreIndex {
   /// `objective_token` is recorded in the file header's extension zone
   /// only when non-default (see write_basis_file).
   bool store(const Fingerprint& key, const spectral::EigenBasis& basis,
-             std::string_view solver_token, std::string_view strategy_token,
+             std::string_view strategy_token,
              std::string_view objective_token = {});
 
   /// Whether `key` is currently indexed (no I/O, no LRU effect).

@@ -153,62 +153,6 @@ TEST(LanczosLargestOp, DiagonalOperator) {
   EXPECT_NEAR(r.values[2], 6.0, 1e-8);
 }
 
-TEST(LanczosSelective, MatchesDenseOracle) {
-  const SymCsrMatrix q = random_laplacian(150, 300, 21);
-  LanczosOptions opts;
-  opts.num_eigenpairs = 6;
-  opts.reorthogonalization = Reorthogonalization::kSelective;
-  const LanczosResult r = lanczos_smallest(q, opts);
-  ASSERT_TRUE(r.converged);
-  const EigenDecomposition exact = solve_symmetric_eigen(q.to_dense());
-  for (std::size_t j = 0; j < 6; ++j)
-    EXPECT_NEAR(r.values[j], exact.values[j], 1e-6) << "pair " << j;
-}
-
-TEST(LanczosSelective, VectorsStayOrthonormal) {
-  const SymCsrMatrix q = random_laplacian(400, 900, 22);
-  LanczosOptions opts;
-  opts.num_eigenpairs = 8;
-  opts.reorthogonalization = Reorthogonalization::kSelective;
-  const LanczosResult r = lanczos_smallest(q, opts);
-  for (std::size_t a = 0; a < r.values.size(); ++a)
-    for (std::size_t b = a; b < r.values.size(); ++b)
-      EXPECT_NEAR(dot(r.vectors.col(a), r.vectors.col(b)),
-                  a == b ? 1.0 : 0.0, 1e-5)
-          << a << "," << b;
-}
-
-TEST(LanczosSelective, AgreesWithFullOnLargerGraph) {
-  const SymCsrMatrix q = random_laplacian(1200, 3600, 7);
-  LanczosOptions full;
-  full.num_eigenpairs = 10;
-  LanczosOptions sel = full;
-  sel.reorthogonalization = Reorthogonalization::kSelective;
-  const LanczosResult a = lanczos_smallest(q, full);
-  const LanczosResult b = lanczos_smallest(q, sel);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  for (std::size_t j = 0; j < 10; ++j)
-    EXPECT_NEAR(a.values[j], b.values[j], 1e-5 * (1.0 + a.values[j]))
-        << "pair " << j;
-}
-
-TEST(LanczosSelective, DisconnectedGraphStillWorks) {
-  std::vector<graph::Edge> edges;
-  for (graph::NodeId i = 0; i < 10; ++i)
-    for (graph::NodeId j = i + 1; j < 10; ++j) edges.push_back({i, j, 1.0});
-  for (graph::NodeId i = 10; i < 20; ++i)
-    for (graph::NodeId j = i + 1; j < 20; ++j) edges.push_back({i, j, 1.0});
-  const SymCsrMatrix q = graph::build_laplacian(graph::Graph(20, edges));
-  LanczosOptions opts;
-  opts.num_eigenpairs = 3;
-  opts.reorthogonalization = Reorthogonalization::kSelective;
-  const LanczosResult r = lanczos_smallest(q, opts);
-  EXPECT_NEAR(r.values[0], 0.0, 1e-7);
-  EXPECT_NEAR(r.values[1], 0.0, 1e-7);
-  EXPECT_NEAR(r.values[2], 10.0, 1e-5);
-}
-
 /// One pinned lanczos_smallest run on a clique-model netlist Laplacian
 /// (generate_netlist with n + n/4 nets, 10 planted clusters, seed 7).
 struct PinnedSolve {

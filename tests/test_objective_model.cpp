@@ -195,14 +195,13 @@ TEST(CacheKeys, ObjectiveLivesInADisjointDomain) {
   const Fingerprint k_norm = Cache::netlist_key(
       h, model::NetModel::kPartitioningSpecific, 0, norm, 8);
   EXPECT_NE(k_default, k_norm);
-  // Same inputs, same key: the default domain is stable.
+  // Same inputs, same key: both domains are stable.
   EXPECT_EQ(k_default, Cache::netlist_key(
                            h, model::NetModel::kPartitioningSpecific, 0,
                            base, 8));
-
-  const graph::Graph g =
-      model::clique_expand(h, model::NetModel::kPartitioningSpecific);
-  EXPECT_NE(Cache::eigen_key(g, base, 8), Cache::eigen_key(g, norm, 8));
+  EXPECT_EQ(k_norm, Cache::netlist_key(
+                        h, model::NetModel::kPartitioningSpecific, 0, norm,
+                        8));
 }
 
 TEST(CacheKeys, UnnormalizedWarmedCacheMissesUnderNormalized) {
@@ -253,9 +252,8 @@ TEST(BasisStore, ObjectiveTokenRoundTripsThroughTheHeader) {
 
   const std::string def_path = dir + "/default.eb";
   const std::string norm_path = dir + "/normalized.eb";
-  storage::write_basis_file(def_path, key, b, "scalar", "flat");
-  storage::write_basis_file(norm_path, key, b, "scalar", "flat",
-                            "normalized");
+  storage::write_basis_file(def_path, key, b, "flat");
+  storage::write_basis_file(norm_path, key, b, "flat", "normalized");
 
   const auto def_hdr = storage::read_basis_header(def_path);
   ASSERT_TRUE(def_hdr.has_value());
@@ -274,8 +272,7 @@ TEST(BasisStore, ObjectiveTokenRoundTripsThroughTheHeader) {
   for (std::size_t i = 128; i < 160; ++i)
     EXPECT_EQ(def_bytes[i], 0) << "extension byte " << i;
   const std::string spelled_path = dir + "/spelled.eb";
-  storage::write_basis_file(spelled_path, key, b, "scalar", "flat",
-                            "unnormalized");
+  storage::write_basis_file(spelled_path, key, b, "flat", "unnormalized");
   std::ifstream spelled_in(spelled_path, std::ios::binary);
   std::vector<char> spelled_bytes(
       (std::istreambuf_iterator<char>(spelled_in)),

@@ -98,7 +98,7 @@ TEST(BasisFile, RoundTripIsBitIdentical) {
   const std::string path = dir.path() + "/a.eb";
   const spectral::EigenBasis b = make_basis(37, 10, 3);
   const Fingerprint key = make_key(3);
-  write_basis_file(path, key, b, "scalar", "flat");
+  write_basis_file(path, key, b, "flat");
 
   BasisHeader hdr;
   const spectral::EigenBasis r = read_basis_columns(path, 0, &hdr);
@@ -124,7 +124,7 @@ TEST(BasisFile, HyperslabReadsAnyLeadingColumnRange) {
   fs::create_directories(dir.path());
   const std::string path = dir.path() + "/a.eb";
   const spectral::EigenBasis b = make_basis(23, 16, 5);
-  write_basis_file(path, make_key(5), b, "scalar", "flat", {}, 4);
+  write_basis_file(path, make_key(5), b, "flat", {}, 4);
 
   // Every d_req in [1, 16]: chunk-interior, chunk-boundary, full.
   for (std::size_t d_req = 1; d_req <= 16; ++d_req) {
@@ -147,7 +147,7 @@ TEST(BasisFile, HeaderRejectsGarbageWithoutThrowing) {
 
   // A valid file truncated mid-chunk fails the exact-size check.
   const std::string full = dir.path() + "/full.eb";
-  write_basis_file(full, make_key(1), make_basis(19, 8, 1), "scalar", "flat");
+  write_basis_file(full, make_key(1), make_basis(19, 8, 1), "flat");
   const auto size = fs::file_size(full);
   fs::resize_file(full, size - 16);
   EXPECT_FALSE(read_basis_header(full).has_value());
@@ -157,7 +157,7 @@ TEST(BasisFile, FlippedByteFailsTheChunkChecksum) {
   TempDir dir("bitrot");
   fs::create_directories(dir.path());
   const std::string path = dir.path() + "/a.eb";
-  write_basis_file(path, make_key(2), make_basis(19, 8, 2), "scalar", "flat");
+  write_basis_file(path, make_key(2), make_basis(19, 8, 2), "flat");
 
   // Flip one byte in the last chunk's payload; the header stays valid,
   // so only the chunk checksum can catch it.
@@ -186,9 +186,9 @@ TEST(StoreIndex, StoreLoadAndRebuildOnOpen) {
     opts.dir = dir.path();
     StoreIndex index(opts);
     EXPECT_FALSE(index.load(key).has_value());  // miss on empty
-    EXPECT_TRUE(index.store(key, b, "scalar", "flat"));
+    EXPECT_TRUE(index.store(key, b, "flat"));
     EXPECT_TRUE(index.contains(key));
-    EXPECT_TRUE(index.store(key, b, "scalar", "flat"));  // idempotent
+    EXPECT_TRUE(index.store(key, b, "flat"));  // idempotent
     const StoreStats s = index.stats();
     EXPECT_EQ(s.spills, 1u);
     EXPECT_EQ(s.entries, 1u);
@@ -214,7 +214,7 @@ TEST(StoreIndex, QuarantinesCorruptAndMisnamedEntriesOnOpen) {
     StoreOptions opts;
     opts.dir = dir.path();
     StoreIndex index(opts);
-    index.store(key, make_basis(17, 8, 11), "scalar", "flat");
+    index.store(key, make_basis(17, 8, 11), "flat");
   }
   // Plant a garbage entry, a misnamed-but-valid entry (wrong content for
   // its name — must never be served), and an orphaned temp file.
@@ -222,7 +222,7 @@ TEST(StoreIndex, QuarantinesCorruptAndMisnamedEntriesOnOpen) {
                 std::ios::binary)
       << "garbage";
   write_basis_file(dir.path() + "/" + make_key(13).hex() + ".eb",
-                   make_key(14), make_basis(17, 8, 14), "scalar", "flat");
+                   make_key(14), make_basis(17, 8, 14), "flat");
   std::ofstream(dir.path() + "/" + make_key(15).hex() + ".eb.tmp",
                 std::ios::binary)
       << "half-written";
@@ -256,7 +256,7 @@ TEST(StoreIndex, ReadCorruptionQuarantinesAndDegradesToMiss) {
   StoreOptions opts;
   opts.dir = dir.path();
   StoreIndex index(opts);
-  index.store(key, make_basis(17, 8, 21), "scalar", "flat");
+  index.store(key, make_basis(17, 8, 21), "flat");
 
   // Corrupt the published file in place (post-open bit rot).
   const std::string path = index.entry_path(key);
@@ -283,7 +283,7 @@ TEST(StoreIndex, EvictsLeastRecentlyUsedBeyondBudget) {
   StoreIndex index(opts);
   for (std::uint64_t i = 0; i < 5; ++i)
     ASSERT_TRUE(
-        index.store(make_key(i), make_basis(16, 8, i), "scalar", "flat"));
+        index.store(make_key(i), make_basis(16, 8, i), "flat"));
 
   const StoreStats s = index.stats();
   EXPECT_EQ(s.entries, 3u);
@@ -307,7 +307,7 @@ TEST(StorageFaults, ShortReadDegradesToQuarantinedMiss) {
   StoreOptions opts;
   opts.dir = dir.path();
   StoreIndex index(opts);
-  index.store(key, make_basis(17, 8, 31), "scalar", "flat");
+  index.store(key, make_basis(17, 8, 31), "flat");
 
   fault::ScopedFaults guard;
   fault::arm("storage.short_read", 1);
@@ -322,7 +322,7 @@ TEST(StorageFaults, ChecksumFlipDegradesToQuarantinedMiss) {
   StoreOptions opts;
   opts.dir = dir.path();
   StoreIndex index(opts);
-  index.store(key, make_basis(17, 8, 32), "scalar", "flat");
+  index.store(key, make_basis(17, 8, 32), "flat");
 
   fault::ScopedFaults guard;
   fault::arm("storage.checksum_flip", 1);
@@ -339,14 +339,14 @@ TEST(StorageFaults, EnospcOnSpillLeavesNoDebrisAndNoEntry) {
 
   fault::ScopedFaults guard;
   fault::arm("storage.enospc", 1);
-  EXPECT_FALSE(index.store(key, make_basis(17, 8, 33), "scalar", "flat"));
+  EXPECT_FALSE(index.store(key, make_basis(17, 8, 33), "flat"));
   EXPECT_EQ(index.stats().spill_failures, 1u);
   EXPECT_FALSE(index.contains(key));
   EXPECT_TRUE(fs::is_empty(dir.path()));
 
   // The same store succeeds once space is back.
   fault::reset();
-  EXPECT_TRUE(index.store(key, make_basis(17, 8, 33), "scalar", "flat"));
+  EXPECT_TRUE(index.store(key, make_basis(17, 8, 33), "flat"));
   EXPECT_TRUE(index.load(key).has_value());
 }
 
@@ -360,7 +360,7 @@ TEST(StorageFaults, CrashBeforeRenameNeverPublishesAndRecoversOnReopen) {
     StoreIndex index(opts);
     fault::ScopedFaults guard;
     fault::arm("storage.crash_before_rename", 1);
-    EXPECT_FALSE(index.store(key, b, "scalar", "flat"));
+    EXPECT_FALSE(index.store(key, b, "flat"));
     // The "crash" leaves the temp file exactly as a real crash would.
     EXPECT_TRUE(fs::exists(index.entry_path(key) + ".tmp"));
     EXPECT_FALSE(fs::exists(index.entry_path(key)));
@@ -374,7 +374,7 @@ TEST(StorageFaults, CrashBeforeRenameNeverPublishesAndRecoversOnReopen) {
   EXPECT_FALSE(fs::exists(index.entry_path(key) + ".tmp"));
   EXPECT_FALSE(index.contains(key));
   EXPECT_EQ(index.stats().corrupt_quarantined, 0u);
-  EXPECT_TRUE(index.store(key, b, "scalar", "flat"));
+  EXPECT_TRUE(index.store(key, b, "flat"));
   const auto loaded = index.load(key);
   ASSERT_TRUE(loaded.has_value());
   expect_bit_equal(b, *loaded, 8);
@@ -525,13 +525,12 @@ TEST(ServiceTier2, MetricsFrameIsByteStableWhenTierDisabled) {
 
 TEST(ServiceTier2, GoldenKeysAndHeaderTokensOfStoredBases) {
   // Cross-version pin: a tier-2 store written by any earlier build must
-  // still hit, so both key schemes and the spilled header tokens are
+  // still hit, so the netlist key and the spilled header tokens are
   // frozen to these literal values for a fixed netlist.
   struct Golden {
     const char* name;
     linalg::SolverStrategy strategy;
     linalg::ObjectiveModel objective;
-    const char* eigen_key;
     const char* netlist_key;
     const char* strategy_token;
     const char* objective_token;
@@ -539,28 +538,21 @@ TEST(ServiceTier2, GoldenKeysAndHeaderTokensOfStoredBases) {
   const Golden cases[] = {
       {"flat", linalg::SolverStrategy::kFlat,
        linalg::ObjectiveModel::kUnnormalized,
-       "cd3a6fdba9671123b1adab9b17f223f9",
        "e4d76ee0880686ed0b7cbda8fefcee67", "flat", "unnormalized"},
       {"multilevel", linalg::SolverStrategy::kMultilevel,
        linalg::ObjectiveModel::kUnnormalized,
-       "3437ad56fb8c2c116ca42207647e72b4",
        "8f325f208736be0f155cf22083e5a038", "multilevel", "unnormalized"},
       {"normalized", linalg::SolverStrategy::kFlat,
        linalg::ObjectiveModel::kNormalizedSymmetric,
-       "255826ff9f67822188c4408c0ce3c4f3",
        "e88b1277833ec7d009e06dc71bd17364", "flat", "normalized"},
   };
   const graph::Hypergraph h = tier_netlist();
-  const graph::Graph g =
-      model::clique_expand(h, model::NetModel::kPartitioningSpecific);
   for (const Golden& c : cases) {
     SCOPED_TRACE(c.name);
     spectral::EmbeddingOptions e;
     e.count = 16;
     e.solver.strategy = c.strategy;
     e.objective = c.objective;
-    EXPECT_EQ(service::EmbeddingCache::eigen_key(g, e, 16).hex(),
-              c.eigen_key);
     const Fingerprint key = service::EmbeddingCache::netlist_key(
         h, model::NetModel::kPartitioningSpecific, 0, e, 16);
     EXPECT_EQ(key.hex(), c.netlist_key);
