@@ -69,6 +69,11 @@ struct KernelResult {
   bool has_conductance = false;
   double sweep_phi = 0.0;
   double fm_phi = 0.0;
+  // MELO rows report the greedy's exact key evaluations for one ordering of
+  // `ordered` vertices (the exhaustive scan needed n(n-1)/2).
+  bool has_key_evals = false;
+  std::uint64_t key_evals = 0;
+  std::size_t ordered = 0;
 };
 
 void attach_counters(KernelResult& r, const linalg::LanczosResult& solve) {
@@ -77,6 +82,16 @@ void attach_counters(KernelResult& r, const linalg::LanczosResult& solve) {
   r.pairs = solve.num_converged;
   r.flops_per_pair = solve.flops / pairs;
   r.bytes_per_pair = solve.matrix_bytes_moved / pairs;
+}
+
+void attach_key_evals(KernelResult& r, const core::VectorInstance& inst,
+                      core::MeloOrderingOptions opts) {
+  core::MeloScanStats stats;
+  opts.stats = &stats;
+  core::melo_order_vectors(inst, opts);
+  r.has_key_evals = true;
+  r.key_evals = stats.key_evals;
+  r.ordered = inst.size();
 }
 
 graph::Hypergraph make_netlist(std::size_t modules) {
@@ -120,15 +135,17 @@ int main(int argc, char** argv) {
   cli.add_flag("threads", "0",
                "parallel thread count (0 = min(8, 2 x hardware cores))");
   cli.add_flag("smoke", "false",
-               "CI sanity mode: run only the eigensolver rows at reduced "
-               "size, then fail unless the lanczos and multilevel rows "
+               "CI sanity mode: run only the eigensolver rows and a small "
+               "melo_exact row at reduced size, then fail unless the "
+               "lanczos and multilevel rows "
                "are present with nonzero counter fields (converged pairs, "
                "flops_per_pair, bytes_per_pair), the multilevel row "
                "reports a live hierarchy (levels, coarsening_ratio, "
                "per_level), the cache_disk_warm row served the tier-2 "
-               "read bit-identically and faster than the cold compute, and "
+               "read bit-identically and faster than the cold compute, "
                "the sweep_cut row's normalized-objective conductance beat "
-               "the FM split's");
+               "the FM split's, and the melo_exact row's key_evals is "
+               "nonzero and below n(n-1)/2");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const bool smoke = cli.get_bool("smoke");
@@ -147,12 +164,15 @@ int main(int argc, char** argv) {
     };
     std::vector<KernelResult> results;
 
-    if (!smoke) {
-      const std::size_t n = scaled(5000);
+    {
+      // The smoke run keeps a small exact row: its key_evals counter must
+      // stay below the exhaustive scan's n(n-1)/2 (gated below).
+      const std::size_t n = smoke ? scaled(2000) : scaled(5000);
       const graph::Hypergraph h = make_netlist(n);
       const core::VectorInstance inst = make_vectors(h, 10);
       core::MeloOrderingOptions opts;
       KernelResult r{"melo_exact", "n=" + std::to_string(n) + " d=10"};
+      attach_key_evals(r, inst, opts);
       opts.parallel = serial;
       r.serial_seconds =
           time_median([&] { core::melo_order_vectors(inst, opts); });
@@ -161,16 +181,19 @@ int main(int argc, char** argv) {
           time_median([&] { core::melo_order_vectors(inst, opts); });
       results.push_back(r);
 
-      core::MeloOrderingOptions lazy = opts;
-      lazy.lazy_ranking = true;
-      KernelResult rl{"melo_lazy", "n=" + std::to_string(n) + " d=10"};
-      lazy.parallel = serial;
-      rl.serial_seconds =
-          time_median([&] { core::melo_order_vectors(inst, lazy); });
-      lazy.parallel = par;
-      rl.parallel_seconds =
-          time_median([&] { core::melo_order_vectors(inst, lazy); });
-      results.push_back(rl);
+      if (!smoke) {
+        core::MeloOrderingOptions lazy;
+        lazy.lazy_ranking = true;
+        KernelResult rl{"melo_lazy", "n=" + std::to_string(n) + " d=10"};
+        attach_key_evals(rl, inst, lazy);
+        lazy.parallel = serial;
+        rl.serial_seconds =
+            time_median([&] { core::melo_order_vectors(inst, lazy); });
+        lazy.parallel = par;
+        rl.parallel_seconds =
+            time_median([&] { core::melo_order_vectors(inst, lazy); });
+        results.push_back(rl);
+      }
     }
 
     {
@@ -529,6 +552,9 @@ int main(int argc, char** argv) {
       if (r.has_conductance)
         std::fprintf(f, ", \"sweep_phi\": %.6f, \"fm_phi\": %.6f",
                      r.sweep_phi, r.fm_phi);
+      if (r.has_key_evals)
+        std::fprintf(f, ", \"key_evals\": %llu",
+                     static_cast<unsigned long long>(r.key_evals));
       if (r.has_multilevel) {
         std::fprintf(f, ", \"levels\": %zu, \"coarsening_ratio\": %.2f",
                      r.levels, r.coarsening_ratio);
@@ -556,6 +582,9 @@ int main(int argc, char** argv) {
                     static_cast<double>(r.bytes_per_pair) / 1e6);
       if (r.has_conductance)
         std::printf("   phi sweep %.4f vs fm %.4f", r.sweep_phi, r.fm_phi);
+      if (r.has_key_evals)
+        std::printf("   %llu key evals",
+                    static_cast<unsigned long long>(r.key_evals));
       std::printf("\n");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -631,11 +660,36 @@ int main(int argc, char** argv) {
                      "degenerate\n");
         return 1;
       }
+      // The certified MELO scan must be live: zero exact keys means the
+      // counter stopped reporting, n(n-1)/2 or more means the scan pruned
+      // nothing and fell back to exhaustive work.
+      const auto melo = find_row("melo_exact");
+      const double exhaustive =
+          melo == results.end()
+              ? 0.0
+              : static_cast<double>(melo->ordered) *
+                    static_cast<double>(melo->ordered - 1) / 2.0;
+      if (melo == results.end() || !melo->has_key_evals ||
+          melo->key_evals == 0 ||
+          !(static_cast<double>(melo->key_evals) < exhaustive)) {
+        std::fprintf(stderr,
+                     "bench_report_tool: --smoke: melo_exact row missing or "
+                     "its key_evals (%llu) is 0 or not below n(n-1)/2 = "
+                     "%.0f\n",
+                     melo == results.end()
+                         ? 0ULL
+                         : static_cast<unsigned long long>(melo->key_evals),
+                     exhaustive);
+        return 1;
+      }
       std::printf("smoke: lanczos and multilevel counters present and "
                   "nonzero, multilevel hierarchy live (%s), tier-2 disk-warm "
                   "read bit-identical and faster than cold, sweep-cut phi "
-                  "beat the FM split\n",
-                  "levels/coarsening_ratio/per_level");
+                  "beat the FM split, melo_exact key_evals %llu below "
+                  "n(n-1)/2 = %.0f\n",
+                  "levels/coarsening_ratio/per_level",
+                  static_cast<unsigned long long>(melo->key_evals),
+                  exhaustive);
     }
     return 0;
   } catch (const Error& e) {

@@ -141,6 +141,7 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
 
     MeloOrderingOptions oopts = opts.ordering_options(start);
     oopts.budget = budget;
+    oopts.stats = &run.scan;
 
     MeloReadjust readjust;
     const bool do_readjust = opts.readjust_h && opts.h_override <= 0.0 &&
@@ -168,8 +169,12 @@ std::vector<MeloOrderingRun> melo_orderings(const graph::Hypergraph& h,
     run.ordering_seconds = order_timer.seconds();
     run.eigen_seconds = eigen_seconds;
     run.budget_exhausted = basis.budget_exhausted || !budget_ok(budget);
-    if (run.budget_exhausted && diag != nullptr)
-      diag->mark_budget_exhausted("ordering");
+    if (diag != nullptr) {
+      diag->add_counter("ordering", "key_evals", run.scan.key_evals);
+      diag->add_counter("ordering", "snapshots", run.scan.snapshots);
+      diag->add_counter("ordering", "snapshot_rows", run.scan.snapshot_rows);
+      if (run.budget_exhausted) diag->mark_budget_exhausted("ordering");
+    }
     runs.push_back(std::move(run));
   }
 

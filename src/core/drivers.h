@@ -70,6 +70,10 @@ struct MeloOrderingRun {
   std::size_t eigenvectors_used = 0;
   /// True when the compute budget ran out during this run.
   bool budget_exhausted = false;
+  /// Greedy work (zero for the Cheeger sweep runs); melo_orderings also
+  /// sums it into opts.diagnostics as ordering.key_evals / snapshots /
+  /// snapshot_rows.
+  MeloScanStats scan;
 };
 
 /// Builds the eigenbasis once and constructs `opts.num_starts` orderings.

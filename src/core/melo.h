@@ -18,7 +18,13 @@
 // e.g. dividing by |S|+1 or by ||S|| — do not change the argmax and are
 // deliberately not separate rules.)
 //
-// Complexity O(d n^2) exactly; the lazy-ranking mode implements the paper's
+// The exact greedy returns the argmax of the key over every unchosen vector
+// at every step, but it evaluates few of them: a certified scan bounds each
+// key from a periodic snapshot of S.y and computes exact keys only for the
+// candidates the bound cannot rule out (melo.cpp). The ordering is the one
+// the exhaustive O(d n^2) scan gives; the work is O(d n) per snapshot plus
+// a few exact keys per step, and a snapshot is taken only when the bound
+// has gone slack. The lazy-ranking mode implements the paper's
 // speedup ("the remaining vectors are re-ranked periodically (e.g., every
 // 100 iterations)"): only a small moving window T of top-ranked candidates
 // is evaluated exactly each step, and the full ranking is refreshed every
@@ -43,9 +49,28 @@ enum class SelectionRule {
 
 const char* selection_rule_name(SelectionRule s);
 
+/// Deterministic work counters of one or more orderings. Every field is a
+/// count of d-length dot products or of refreshes; none depends on the
+/// thread count.
+struct MeloScanStats {
+  /// Exact key evaluations (the lazy mode counts its window evaluations).
+  std::uint64_t key_evals = 0;
+  /// Snapshot refreshes (the lazy mode counts its re-rankings).
+  std::uint64_t snapshots = 0;
+  /// Rows evaluated by those refreshes, one S.y product each.
+  std::uint64_t snapshot_rows = 0;
+
+  MeloScanStats& operator+=(const MeloScanStats& o) {
+    key_evals += o.key_evals;
+    snapshots += o.snapshots;
+    snapshot_rows += o.snapshot_rows;
+    return *this;
+  }
+};
+
 struct MeloOrderingOptions {
   SelectionRule selection = SelectionRule::kMagnitude;
-  /// Use the lazy-ranking speedup instead of the exact O(d n^2) scan.
+  /// Use the lazy-ranking speedup instead of the exact scan.
   bool lazy_ranking = false;
   /// Initial size of the candidate window T (grows by 1 per selection).
   std::size_t lazy_window = 32;
@@ -59,11 +84,12 @@ struct MeloOrderingOptions {
   /// deterministic order so the result is still a full permutation — a
   /// valid, best-effort ordering rather than an aborted one.
   ComputeBudget* budget = nullptr;
-  /// Compute-kernel threading (see util/parallel.h). The per-step argmax
-  /// over unchosen vertices is evaluated in fixed blocks with a
-  /// (key, smallest-id) combine, so the ordering is bit-identical for
-  /// every thread count — including the serial default.
+  /// Compute-kernel threading (see util/parallel.h). Only the snapshot
+  /// refreshes fan out, one independent row per vertex; the selection walk
+  /// is serial, so the ordering is bit-identical for every thread count.
   ParallelConfig parallel;
+  /// Optional work counters (non-owning); the call adds its own counts.
+  MeloScanStats* stats = nullptr;
 };
 
 /// Optional mid-construction coordinate readjustment (the paper's

@@ -1,7 +1,7 @@
 // Shared parallel compute-kernel layer: a small reusable thread pool plus
 // deterministic parallel_for / parallel_reduce utilities.
 //
-// Every threaded hot path in the library (the MELO greedy argmax, Lanczos
+// Every threaded hot path in the library (the MELO snapshot refresh, Lanczos
 // SpMV and reorthogonalization panels, the k-means assignment step)
 // funnels through these two primitives. Two contracts matter more than
 // raw speed:

@@ -1,16 +1,25 @@
 // Tests for the MELO greedy ordering and its end-to-end drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <tuple>
 
 #include "core/drivers.h"
 #include "core/melo.h"
 #include "core/reduction.h"
 #include "graph/generator.h"
+#include "model/clique_models.h"
 #include "part/objectives.h"
+#include "spectral/embedding.h"
 #include "spectral/sb.h"
+#include "util/budget.h"
 #include "util/error.h"
+#include "util/parallel.h"
+#include "util/rng.h"
 
 namespace specpart::core {
 namespace {
@@ -123,6 +132,332 @@ TEST(MeloOrder, DeterministicForSameInputs) {
   EXPECT_EQ(a[0].ordering, b[0].ordering);
 }
 
+// --- Certified scan against the exhaustive scan -----------------------------
+
+/// Test-local copy of the exhaustive scan the certified scan replaced: every
+/// unchosen key at every step, blocked (key, smallest-id) argmax. It is the
+/// oracle the certified scan must match bit for bit.
+part::Ordering exhaustive_melo(const VectorInstance& inst,
+                               const MeloOrderingOptions& opts,
+                               const MeloReadjust* readjust = nullptr) {
+  const std::size_t n = inst.size();
+  const std::size_t d = inst.dimension();
+  std::vector<double> flat;
+  std::vector<double> norms_sq(n);
+  linalg::Vec sum(d, 0.0);
+  double sum_norm_sq = 0.0;
+  const auto row = [&](graph::NodeId v) { return flat.data() + v * d; };
+  const auto load = [&](const VectorInstance& x) {
+    flat.assign(x.vectors.data(), x.vectors.data() + n * d);
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (std::size_t j = 0; j < d; ++j) s += row(i)[j] * row(i)[j];
+      norms_sq[i] = s;
+    }
+  };
+  const auto key = [&](graph::NodeId v) {
+    double s_dot_y = 0.0;
+    for (std::size_t j = 0; j < d; ++j) s_dot_y += sum[j] * row(v)[j];
+    const double y_sq = norms_sq[v];
+    switch (opts.selection) {
+      case SelectionRule::kMagnitude:
+        return sum_norm_sq + 2.0 * s_dot_y + y_sq;
+      case SelectionRule::kProjection:
+        if (sum_norm_sq <= 1e-300) return y_sq;
+        return s_dot_y;
+      case SelectionRule::kCosine: {
+        if (sum_norm_sq <= 1e-300) return y_sq;
+        const double y_norm = std::sqrt(y_sq);
+        if (y_norm <= 1e-300) return -std::numeric_limits<double>::infinity();
+        return s_dot_y / y_norm;
+      }
+    }
+    return 0.0;
+  };
+  load(inst);
+
+  std::vector<char> chosen(n, 0);
+  part::Ordering order;
+  const auto take = [&](graph::NodeId v) {
+    chosen[v] = 1;
+    for (std::size_t j = 0; j < d; ++j) sum[j] += row(v)[j];
+    sum_norm_sq = linalg::norm_sq(sum);
+    order.push_back(v);
+    if (readjust != nullptr && readjust->at != 0 &&
+        order.size() == readjust->at && order.size() < n) {
+      load(readjust->rebuild(order));
+      sum.assign(d, 0.0);
+      for (graph::NodeId u : order)
+        for (std::size_t j = 0; j < d; ++j) sum[j] += row(u)[j];
+      sum_norm_sq = linalg::norm_sq(sum);
+    }
+  };
+
+  std::vector<graph::NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  const std::size_t rank = std::min(opts.start_rank, n - 1);
+  std::nth_element(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(rank),
+                   ids.end(), [&](graph::NodeId a, graph::NodeId b) {
+                     if (norms_sq[a] != norms_sq[b])
+                       return norms_sq[a] > norms_sq[b];
+                     return a < b;
+                   });
+  take(ids[rank]);
+
+  ParallelConfig scan = opts.parallel;
+  scan.grain = 256;
+  while (order.size() < n) {
+    if (!budget_charge(opts.budget)) {
+      for (graph::NodeId v = 0; v < n; ++v)
+        if (!chosen[v]) {
+          chosen[v] = 1;
+          order.push_back(v);
+        }
+      break;
+    }
+    const std::size_t best = parallel_argmax(
+        scan, n,
+        [&](std::size_t v) { return key(static_cast<graph::NodeId>(v)); },
+        [&](std::size_t v) { return chosen[v] == 0; });
+    take(static_cast<graph::NodeId>(best));
+  }
+  return order;
+}
+
+constexpr SelectionRule kRules[] = {SelectionRule::kMagnitude,
+                                    SelectionRule::kProjection,
+                                    SelectionRule::kCosine};
+
+/// Random rows whose norms spread over two orders of magnitude, with a
+/// shared drift so the greedy finds aligned groups (as on scaled
+/// eigenvectors).
+VectorInstance random_instance(std::size_t n, std::size_t d,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  VectorInstance inst;
+  inst.vectors = linalg::DenseMatrix(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double scale = std::pow(10.0, 2.0 * rng.next_double() - 1.0);
+    const double drift = (i % 3 == 0) ? 0.5 : -0.25;
+    for (std::size_t j = 0; j < d; ++j)
+      inst.vectors.at(i, j) =
+          scale * (rng.next_normal() + (j == 0 ? drift : 0.0));
+  }
+  return inst;
+}
+
+/// H-readjust stand-in: rescales every column by its own factor, so row
+/// norms and the subset sum both change at the reload.
+MeloReadjust column_rescale(const VectorInstance& inst) {
+  MeloReadjust r;
+  r.at = inst.size() / 2;
+  r.rebuild = [&inst](const std::vector<graph::NodeId>&) {
+    VectorInstance out = inst;
+    const std::size_t d = inst.dimension();
+    for (std::size_t i = 0; i < inst.size(); ++i)
+      for (std::size_t j = 0; j < d; ++j)
+        out.vectors.at(i, j) *= 0.5 + 1.5 * static_cast<double>(j + 1) /
+                                          static_cast<double>(d);
+    return out;
+  };
+  return r;
+}
+
+/// Certified ordering == oracle ordering, for every rule, with and without
+/// the readjust reload.
+void expect_matches_exhaustive(const VectorInstance& inst,
+                               MeloOrderingOptions opts = {}) {
+  const MeloReadjust readjust = column_rescale(inst);
+  for (SelectionRule rule : kRules) {
+    opts.selection = rule;
+    for (const MeloReadjust* r : {static_cast<const MeloReadjust*>(nullptr),
+                                  &readjust}) {
+      EXPECT_EQ(melo_order_vectors(inst, opts, r),
+                exhaustive_melo(inst, opts, r))
+          << selection_rule_name(rule) << (r ? " readjust" : "")
+          << " n=" << inst.size() << " d=" << inst.dimension();
+    }
+  }
+}
+
+class MeloCertifiedScan
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(MeloCertifiedScan, MatchesExhaustiveScan) {
+  const auto [n, d] = GetParam();
+  const VectorInstance inst = random_instance(n, d, 1000 * n + d);
+  expect_matches_exhaustive(inst);
+  MeloOrderingOptions later_start;
+  later_start.start_rank = 2;
+  expect_matches_exhaustive(inst, later_start);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomRows, MeloCertifiedScan,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 50, 700, 3000),
+                       ::testing::Values<std::size_t>(1, 3, 12, 20)));
+
+TEST(MeloCertifiedScan, MatchesOnScaledEigenvectors) {
+  const graph::Hypergraph h = planted(700, 6, 41);
+  spectral::EmbeddingOptions eo;
+  eo.count = 12;
+  const spectral::EigenBasis basis = spectral::compute_eigenbasis(
+      model::clique_expand(h, model::NetModel::kPartitioningSpecific), eo);
+  for (CoordScaling sc : {CoordScaling::kSqrtGap, CoordScaling::kGap,
+                          CoordScaling::kInvSqrtLambda, CoordScaling::kUnit}) {
+    const double h0 = default_h(basis);
+    const VectorInstance inst = build_scaled_instance(basis, sc, h0);
+    MeloReadjust readjust;
+    readjust.at = inst.size() / 2;
+    readjust.rebuild = [&](const std::vector<graph::NodeId>&) {
+      return build_scaled_instance(basis, sc, 1.7 * h0);
+    };
+    for (SelectionRule rule : kRules) {
+      MeloOrderingOptions opts;
+      opts.selection = rule;
+      EXPECT_EQ(melo_order_vectors(inst, opts, &readjust),
+                exhaustive_melo(inst, opts, &readjust))
+          << coord_scaling_name(sc) << " " << selection_rule_name(rule);
+    }
+  }
+}
+
+TEST(MeloCertifiedScan, ExactTiesBreakTowardSmallestId) {
+  // Duplicate rows: every copy has the same key, bit for bit.
+  VectorInstance dup = random_instance(300, 4, 7);
+  Rng rng(8);
+  for (std::size_t i = 0; i < 300; ++i) {
+    const std::size_t src = static_cast<std::size_t>(rng.next_below(20));
+    for (std::size_t j = 0; j < 4; ++j)
+      dup.vectors.at(i, j) = dup.vectors.at(src, j);
+  }
+  expect_matches_exhaustive(dup);
+  // All rows equal: every step is a full tie.
+  VectorInstance same = random_instance(200, 3, 9);
+  for (std::size_t i = 0; i < 200; ++i)
+    for (std::size_t j = 0; j < 3; ++j)
+      same.vectors.at(i, j) = same.vectors.at(0, j);
+  expect_matches_exhaustive(same);
+  // Small integer rows: every key is exact, so ties are frequent and the
+  // bound is as tight as Cauchy-Schwarz allows.
+  VectorInstance ints = random_instance(400, 2, 10);
+  for (std::size_t i = 0; i < 400; ++i)
+    for (std::size_t j = 0; j < 2; ++j)
+      ints.vectors.at(i, j) = static_cast<double>(rng.next_in(-2, 2));
+  expect_matches_exhaustive(ints);
+}
+
+TEST(MeloCertifiedScan, ZeroRowsAndZeroNormVectorsUnderCosine) {
+  // A third of the rows are zero: their cosine key is -inf, their other
+  // keys tie; the last selections are all among them.
+  VectorInstance inst = random_instance(240, 5, 11);
+  for (std::size_t i = 0; i < 240; i += 3)
+    for (std::size_t j = 0; j < 5; ++j) inst.vectors.at(i, j) = 0.0;
+  expect_matches_exhaustive(inst);
+  // Only zero rows, and one nonzero row among zeros.
+  VectorInstance zeros = make_instance(std::vector<std::vector<double>>(
+      40, std::vector<double>(3, 0.0)));
+  expect_matches_exhaustive(zeros);
+  zeros.vectors.at(17, 1) = 2.5;
+  expect_matches_exhaustive(zeros);
+}
+
+TEST(MeloCertifiedScan, ExtremeCoordinateScales) {
+  for (double scale : {1e150, 1e-150}) {
+    for (std::size_t n : {50u, 700u}) {
+      for (std::size_t d : {3u, 12u}) {
+        VectorInstance inst = random_instance(n, d, 31 * n + d);
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < d; ++j)
+            inst.vectors.at(i, j) *= 0.1 * scale;
+        expect_matches_exhaustive(inst);
+      }
+    }
+  }
+  // Rows of very different scales in one instance: products underflow for
+  // the small rows while the subset sum is dominated by the large ones.
+  VectorInstance mixed = random_instance(500, 6, 37);
+  for (std::size_t i = 0; i < 500; ++i)
+    for (std::size_t j = 0; j < 6; ++j)
+      mixed.vectors.at(i, j) *=
+          (i % 4 == 0) ? 1e-150 : (i % 4 == 1 ? 1e-160 : 1.0);
+  expect_matches_exhaustive(mixed);
+}
+
+TEST(MeloCertifiedScan, OverflowedCoordinates) {
+  // Subset sums and products overflow: keys become +-inf and, under the
+  // magnitude rule, NaN. The bound prunes nothing there, and the choice
+  // still matches the exhaustive scan's.
+  for (double scale : {1e154, 1e200}) {
+    VectorInstance inst = random_instance(300, 4, 61);
+    for (std::size_t i = 0; i < 300; ++i)
+      for (std::size_t j = 0; j < 4; ++j) inst.vectors.at(i, j) *= scale;
+    expect_matches_exhaustive(inst);
+  }
+}
+
+TEST(MeloCertifiedScan, BudgetExpiringMidScan) {
+  const VectorInstance inst = random_instance(700, 12, 43);
+  const MeloReadjust readjust = column_rescale(inst);
+  for (std::size_t limit : {1u, 5u, 200u, 500u}) {
+    for (SelectionRule rule : kRules) {
+      ComputeBudget mine = ComputeBudget::with_max_iterations(limit);
+      ComputeBudget theirs = ComputeBudget::with_max_iterations(limit);
+      MeloOrderingOptions opts;
+      opts.selection = rule;
+      opts.budget = &mine;
+      const part::Ordering got = melo_order_vectors(inst, opts, &readjust);
+      opts.budget = &theirs;
+      EXPECT_EQ(got, exhaustive_melo(inst, opts, &readjust))
+          << "limit " << limit << " " << selection_rule_name(rule);
+      EXPECT_TRUE(part::is_permutation(got, inst.size()));
+      EXPECT_EQ(mine.iterations_used(), theirs.iterations_used());
+    }
+  }
+}
+
+TEST(MeloCertifiedScan, IdenticalAtEveryThreadCount) {
+  // 0 = the environment-chosen count (SPECPART_THREADS in the _mt run).
+  const VectorInstance inst = random_instance(3000, 12, 47);
+  const MeloReadjust readjust = column_rescale(inst);
+  for (SelectionRule rule : kRules) {
+    MeloOrderingOptions opts;
+    opts.selection = rule;
+    const part::Ordering reference = exhaustive_melo(inst, opts, &readjust);
+    MeloScanStats first;
+    for (std::size_t threads : {0u, 1u, 2u, 8u}) {
+      MeloScanStats stats;
+      opts.parallel = ParallelConfig::with_threads(threads);
+      opts.stats = &stats;
+      EXPECT_EQ(melo_order_vectors(inst, opts, &readjust), reference)
+          << threads << " threads, " << selection_rule_name(rule);
+      if (threads == 0) first = stats;
+      EXPECT_EQ(stats.key_evals, first.key_evals);
+      EXPECT_EQ(stats.snapshots, first.snapshots);
+      EXPECT_EQ(stats.snapshot_rows, first.snapshot_rows);
+    }
+  }
+}
+
+TEST(MeloCertifiedScan, EvaluatesFewKeys) {
+  const std::size_t n = 3000;
+  const VectorInstance inst = random_instance(n, 12, 53);
+  const double exhaustive = static_cast<double>(n) * (n - 1) / 2.0;
+  for (SelectionRule rule : kRules) {
+    MeloScanStats stats;
+    MeloOrderingOptions opts;
+    opts.selection = rule;
+    opts.stats = &stats;
+    melo_order_vectors(inst, opts);
+    EXPECT_GT(stats.key_evals, n - 1) << selection_rule_name(rule);
+    EXPECT_LT(static_cast<double>(stats.key_evals), 0.1 * exhaustive)
+        << selection_rule_name(rule);
+    EXPECT_GE(stats.snapshots, 1u);
+    EXPECT_LT(static_cast<double>(stats.snapshot_rows), 0.2 * exhaustive)
+        << selection_rule_name(rule);
+  }
+}
+
 TEST(MeloDrivers, BipartitionValidAndBalanced) {
   const graph::Hypergraph h = planted(150, 2, 7);
   MeloOptions opts;
@@ -154,6 +489,24 @@ TEST(MeloDrivers, BeatsOrMatchesSbOnPlanted) {
   const spectral::SbResult sb = spectral::spectral_bipartition(h, sb_opts);
   const double sb_cut = part::cut_nets(h, sb.partition);
   EXPECT_LE(melo.cut, sb_cut * 1.02 + 1e-12);
+}
+
+TEST(MeloDrivers, ScanCountersSumIntoDiagnostics) {
+  const graph::Hypergraph h = planted(400, 4, 59);
+  Diagnostics diag;
+  MeloOptions opts;
+  opts.diagnostics = &diag;
+  const auto runs = melo_orderings(h, opts);
+  MeloScanStats sum;
+  for (const MeloOrderingRun& run : runs) sum += run.scan;
+  EXPECT_GT(sum.key_evals, 0u);
+  EXPECT_GT(sum.snapshots, 0u);
+  EXPECT_EQ(diag.counter("ordering", "key_evals"), sum.key_evals);
+  EXPECT_EQ(diag.counter("ordering", "snapshots"), sum.snapshots);
+  EXPECT_EQ(diag.counter("ordering", "snapshot_rows"), sum.snapshot_rows);
+  const double n = static_cast<double>(h.num_nodes());
+  EXPECT_LT(static_cast<double>(sum.key_evals),
+            static_cast<double>(runs.size()) * n * (n - 1) / 2.0);
 }
 
 TEST(MeloDrivers, MultiwayProducesKClusters) {
