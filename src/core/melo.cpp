@@ -25,15 +25,14 @@ const char* selection_rule_name(SelectionRule s) {
 
 namespace {
 
-/// Block size for the parallel snapshot refreshes and lazy re-rankings.
-/// Each row is computed on its own, so the blocks do not change any bit;
-/// small enough that mid-size instances still fan out across threads,
-/// large enough to amortize dispatch.
+/// Block size for the parallel snapshot refreshes. Each row is computed
+/// on its own, so the blocks do not change any bit; small enough that
+/// mid-size instances still fan out across threads, large enough to
+/// amortize dispatch.
 constexpr std::size_t kScanGrain = 256;
 
 /// Greedy state: rows of the instance, running subset sum, and the scheme
-/// evaluation. Kept separate from the selection policy (certified scan vs
-/// lazy window).
+/// evaluation. Kept separate from the selection policy (CertifiedScan).
 ///
 /// Rows live in one contiguous row-major buffer (n x d doubles) instead of
 /// n separate heap vectors: a snapshot refresh walks it linearly, at
@@ -397,17 +396,16 @@ class CertifiedScan {
   }
 
   /// Slope coefficient b_v of the class comment, and for the cosine rule
-  /// the row norm the key divides by. Both depend on the rows only, so they
-  /// are computed once per load.
+  /// the row norm the key divides by (the other rules keep no row norms).
+  /// Both depend on the rows only, so they are computed once per load.
   void load_rows() {
     const std::size_t n = state_.size();
     slope_.resize(n);
-    row_norm_.resize(n);
+    if (state_.scheme() == SelectionRule::kCosine) row_norm_.resize(n);
     parallel_for(scan_, 0, n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t v = lo; v < hi; ++v) {
         const double y_sq = state_.row_norm_sq(static_cast<graph::NodeId>(v));
         const double r = norm_bound(y_sq);
-        row_norm_[v] = std::sqrt(y_sq);  // as in MeloState::key
         switch (state_.scheme()) {
           case SelectionRule::kMagnitude:
             slope_[v] = 2.0 * r;
@@ -416,6 +414,7 @@ class CertifiedScan {
             slope_[v] = r;
             break;
           case SelectionRule::kCosine:
+            row_norm_[v] = std::sqrt(y_sq);  // as in MeloState::key
             slope_[v] = row_norm_[v] <= 1e-300 ? 0.0 : r / row_norm_[v];
             break;
         }
@@ -518,7 +517,7 @@ class CertifiedScan {
   double tau_ = 0.0;  // underflow allowance
 
   std::vector<double> slope_;     // b_v per vertex, for the loaded rows
-  std::vector<double> row_norm_;  // ||y_v|| as the cosine key computes it
+  std::vector<double> row_norm_;  // cosine only: ||y_v|| as its key has it
   std::vector<Entry> entries_;  // unchosen at the snapshot, by class
   std::vector<Class> classes_;
   std::vector<Candidate> candidates_;
@@ -562,104 +561,21 @@ part::Ordering melo_order_vectors(const VectorInstance& inst,
     return false;
   };
 
-  // Budget exhaustion mid-construction: the ordering must still be a full
-  // permutation for the split sweeps, so the remaining vertices are
-  // appended in id order (cheap, deterministic) instead of aborting.
-  auto complete_cheaply = [&]() {
-    for (graph::NodeId v = 0; v < n; ++v)
-      if (!chosen[v]) {
-        chosen[v] = 1;
-        order.push_back(v);
-      }
-  };
-
   take(pick_start(state, opts.start_rank, n));
 
   MeloScanStats work;
-  if (!opts.lazy_ranking) {
-    CertifiedScan certified(state, scan, work);
-    while (order.size() < n) {
-      if (!budget_charge(opts.budget)) {
-        complete_cheaply();
-        break;
-      }
-      if (take(certified.select(chosen))) certified.invalidate();
-    }
-    if (opts.stats != nullptr) *opts.stats += work;
-    return order;
-  }
-
-  // Lazy ranking: keep a window T of the top-ranked unchosen vectors under
-  // a periodically refreshed key snapshot; evaluate only T exactly.
-  std::vector<graph::NodeId> ranked;   // unchosen, ordered by snapshot key
-  std::size_t ranked_next = 0;         // next snapshot vertex to feed into T
-  std::vector<graph::NodeId> window;
-  std::size_t since_rerank = 0;
-
-  auto rerank = [&]() {
-    ranked.clear();
-    for (graph::NodeId v = 0; v < n; ++v)
-      if (!chosen[v]) ranked.push_back(v);
-    std::vector<double> snapshot(n, 0.0);
-    parallel_for(scan, 0, ranked.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t r = lo; r < hi; ++r)
-        snapshot[ranked[r]] = state.key(ranked[r]);
-    });
-    ++work.snapshots;
-    work.snapshot_rows += ranked.size();
-    std::sort(ranked.begin(), ranked.end(),
-              [&](graph::NodeId a, graph::NodeId b) {
-                if (snapshot[a] != snapshot[b])
-                  return snapshot[a] > snapshot[b];
-                return a < b;
-              });
-    window.clear();
-    ranked_next = 0;
-    while (window.size() < std::max<std::size_t>(1, opts.lazy_window) &&
-           ranked_next < ranked.size())
-      window.push_back(ranked[ranked_next++]);
-    since_rerank = 0;
-  };
-
-  rerank();
+  CertifiedScan certified(state, scan, work);
   while (order.size() < n) {
     if (!budget_charge(opts.budget)) {
-      complete_cheaply();
+      // Budget exhaustion mid-construction: the ordering must still be a
+      // full permutation for the split sweeps, so the remaining vertices
+      // are appended in id order (cheap, deterministic) instead of
+      // aborting.
+      for (graph::NodeId v = 0; v < n; ++v)
+        if (!chosen[v]) order.push_back(v);
       break;
     }
-    if (window.empty() ||
-        since_rerank >= std::max<std::size_t>(1, opts.lazy_rerank_interval)) {
-      rerank();
-    }
-    SP_ASSERT(!window.empty());
-    // Exact evaluation inside the window only. Ties break toward the
-    // smaller window slot, which keeps the choice deterministic for any
-    // thread count.
-    const std::size_t best_slot = parallel_argmax(
-        scan, window.size(),
-        [&](std::size_t s) { return state.key(window[s]); },
-        [](std::size_t) { return true; });
-    work.key_evals += window.size();
-    const graph::NodeId v = window[best_slot];
-    // Swap-with-back removal: O(1) instead of erase()'s O(T) shift.
-    window[best_slot] = window.back();
-    window.pop_back();
-    if (take(v)) {
-      // H-readjust reload: every snapshot key (and the ranked order built
-      // from them) is stale under the new coordinates — re-rank instead of
-      // continuing to feed the window from the outdated list.
-      rerank();
-      continue;
-    }
-    ++since_rerank;
-    // Grow T with the next snapshot-ranked unchosen vector.
-    while (ranked_next < ranked.size()) {
-      const graph::NodeId cand = ranked[ranked_next++];
-      if (!chosen[cand]) {
-        window.push_back(cand);
-        break;
-      }
-    }
+    if (take(certified.select(chosen))) certified.invalidate();
   }
   if (opts.stats != nullptr) *opts.stats += work;
   return order;

@@ -24,11 +24,9 @@
 // candidates the bound cannot rule out (melo.cpp). The ordering is the one
 // the exhaustive O(d n^2) scan gives; the work is O(d n) per snapshot plus
 // a few exact keys per step, and a snapshot is taken only when the bound
-// has gone slack. The lazy-ranking mode implements the paper's
-// speedup ("the remaining vectors are re-ranked periodically (e.g., every
-// 100 iterations)"): only a small moving window T of top-ranked candidates
-// is evaluated exactly each step, and the full ranking is refreshed every
-// `lazy_rerank_interval` selections.
+// has gone slack. The paper buys its speed by re-ranking the candidates
+// only "periodically (e.g., every 100 iterations)", which gives up
+// exactness; the certified scan is as fast and stays exact.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +51,9 @@ const char* selection_rule_name(SelectionRule s);
 /// count of d-length dot products or of refreshes; none depends on the
 /// thread count.
 struct MeloScanStats {
-  /// Exact key evaluations (the lazy mode counts its window evaluations).
+  /// Exact key evaluations.
   std::uint64_t key_evals = 0;
-  /// Snapshot refreshes (the lazy mode counts its re-rankings).
+  /// Snapshot refreshes.
   std::uint64_t snapshots = 0;
   /// Rows evaluated by those refreshes, one S.y product each.
   std::uint64_t snapshot_rows = 0;
@@ -70,12 +68,6 @@ struct MeloScanStats {
 
 struct MeloOrderingOptions {
   SelectionRule selection = SelectionRule::kMagnitude;
-  /// Use the lazy-ranking speedup instead of the exact scan.
-  bool lazy_ranking = false;
-  /// Initial size of the candidate window T (grows by 1 per selection).
-  std::size_t lazy_window = 32;
-  /// Selections between full re-rankings of the unchosen vectors.
-  std::size_t lazy_rerank_interval = 64;
   /// Start the ordering from the (start_rank+1)-th longest vector; distinct
   /// ranks give the diversified multi-start orderings Table 5 uses.
   std::size_t start_rank = 0;

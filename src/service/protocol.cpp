@@ -102,9 +102,9 @@ void write_request(const PartitionRequest& req, std::ostream& out) {
       << " selection=" << core::selection_rule_token(p.selection)
       << " readjust=" << (p.readjust_h ? 1 : 0)
       << strprintf(" h=%.17g", p.h_override)
-      << " lazy=" << (p.lazy_ranking ? 1 : 0)
-      << " lazy_window=" << p.lazy_window
-      << " lazy_rerank=" << p.lazy_rerank_interval
+      // Legacy fields with their old defaults, written as constants so
+      // recorded frames and request sizes stay byte-stable.
+      << " lazy=0 lazy_window=32 lazy_rerank=64"
       << " net_model=" << core::net_model_token(p.net_model)
       << " starts=" << p.num_starts << " seed=" << p.seed;
   // Emitted only when non-default: absent means flat, so pre-multilevel
@@ -147,11 +147,11 @@ PartitionRequest parse_request(const std::string& header_line,
     } else if (key == "h") {
       p.h_override = parse_double(value, "h");
     } else if (key == "lazy") {
-      p.lazy_ranking = parse_bool_field(value, key);
-    } else if (key == "lazy_window") {
-      p.lazy_window = parse_size(value, "lazy_window");
-    } else if (key == "lazy_rerank") {
-      p.lazy_rerank_interval = parse_size(value, "lazy_rerank");
+      // Legacy fields of the retired lazy ranking: still validated, then
+      // ignored; every ordering is the exact greedy's.
+      parse_bool_field(value, key);
+    } else if (key == "lazy_window" || key == "lazy_rerank") {
+      parse_size(value, key);
     } else if (key == "net_model") {
       p.net_model = core::parse_net_model(value);
     } else if (key == "starts") {

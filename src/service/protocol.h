@@ -24,6 +24,11 @@
 //   ASSIGN <n cluster ids>
 //   END
 //
+// The lazy, lazy_window and lazy_rerank fields are legacy: they are always
+// written as `lazy=0 lazy_window=32 lazy_rerank=64`, and on parse they are
+// validated (0|1, sizes) and then ignored, so a recorded `lazy=1` frame is
+// served by the exact ordering scan.
+//
 // Error responses replace everything after `status=error` with
 // `error=<message to end of line>` and carry no ASSIGN line. Header keys
 // may appear in any order on parse but are always emitted in the order

@@ -208,20 +208,6 @@ TEST(ParallelEquivalence, MeloExactOrderingBitIdentical) {
   }
 }
 
-TEST(ParallelEquivalence, MeloLazyOrderingBitIdentical) {
-  const core::VectorInstance inst = random_instance(600, 8, 12);
-  core::MeloOrderingOptions opts;
-  opts.lazy_ranking = true;
-  opts.lazy_window = 24;
-  opts.lazy_rerank_interval = 40;
-  const part::Ordering reference = core::melo_order_vectors(inst, opts);
-  for (const std::size_t t : tested_thread_counts()) {
-    opts.parallel = ParallelConfig::with_threads(t);
-    EXPECT_EQ(core::melo_order_vectors(inst, opts), reference)
-        << t << " threads";
-  }
-}
-
 TEST(ParallelEquivalence, MeloDriverWithReadjustBitIdentical) {
   // n below the dense eigensolver threshold: the eigenbasis is identical
   // for every thread count, so the full driver (including the H-readjust

@@ -10,6 +10,7 @@
 #include <future>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "graph/generator.h"
@@ -461,7 +462,7 @@ TEST(Protocol, RequestRoundTripIsByteStable) {
   req.k = 4;
   req.balance = 0.4;
   req.pipeline.scaling = core::CoordScaling::kGap;
-  req.pipeline.lazy_ranking = true;
+  req.pipeline.readjust_h = false;
   req.pipeline.seed = 99;
 
   std::ostringstream first;
@@ -472,6 +473,7 @@ TEST(Protocol, RequestRoundTripIsByteStable) {
   EXPECT_EQ(parsed->id, "roundtrip");
   EXPECT_EQ(parsed->k, 4u);
   EXPECT_EQ(parsed->pipeline.scaling, core::CoordScaling::kGap);
+  EXPECT_FALSE(parsed->pipeline.readjust_h);
   EXPECT_EQ(parsed->graph.num_nodes(), req.graph.num_nodes());
   EXPECT_EQ(parsed->graph.num_nets(), req.graph.num_nets());
 
@@ -720,6 +722,49 @@ TEST(ServeStream, ValidFramesStillFlowAfterHardening) {
   EXPECT_NE(out.find("BYE\n"), std::string::npos);
 }
 
+TEST(ServeStream, LegacyLazyFieldsAreValidatedThenIgnored) {
+  // The lazy ranking is retired. write_request still emits its three
+  // fields with their old defaults, and a frame that asks for lazy=1 is
+  // served by the exact scan: it re-serializes to the default frame and
+  // gets the default frame's RESPONSE bytes.
+  const PartitionRequest req = make_request();
+  std::ostringstream default_wire;
+  write_request(req, default_wire);
+  const std::string frame = default_wire.str();
+  const std::string constant = " lazy=0 lazy_window=32 lazy_rerank=64 ";
+  const std::size_t at = frame.find(constant);
+  ASSERT_NE(at, std::string::npos) << frame;
+
+  std::string legacy = frame;
+  legacy.replace(at, constant.size(), " lazy=1 lazy_window=7 lazy_rerank=5 ");
+  std::istringstream in(legacy);
+  const std::optional<PartitionRequest> parsed = read_request(in);
+  ASSERT_TRUE(parsed.has_value());
+  std::ostringstream again;
+  write_request(*parsed, again);
+  EXPECT_EQ(again.str(), frame);
+
+  const std::string expected = serve_script(frame + "QUIT\n");
+  EXPECT_NE(expected.find("status=ok"), std::string::npos) << expected;
+  EXPECT_EQ(serve_script(legacy + "QUIT\n"), expected);
+
+  // Malformed legacy values are still structured bad_request errors.
+  for (const auto& [field, good, bad] :
+       {std::tuple<std::string, std::string, std::string>{"lazy", "0", "2"},
+        {"lazy_window", "32", "x"},
+        {"lazy_rerank", "64", "-1"}}) {
+    SCOPED_TRACE(field + "=" + bad);
+    std::string malformed = frame;
+    const std::string from = " " + field + "=" + good + " ";
+    malformed.replace(malformed.find(from), from.size(),
+                      " " + field + "=" + bad + " ");
+    const std::string out = serve_script(malformed);
+    EXPECT_NE(out.find("error=bad_request: "), std::string::npos) << out;
+    EXPECT_NE(out.find(field), std::string::npos) << out;
+    EXPECT_EQ(out.find("ASSIGN"), std::string::npos) << out;
+  }
+}
+
 TEST(Protocol, JsonMirrorsResponseFields) {
   PartitionService svc;
   const PartitionResponse resp = svc.execute(make_request());
@@ -842,14 +887,14 @@ TEST(PipelineConfig, FlowsIntoStageOptions) {
   cfg.num_eigenvectors = 12;
   cfg.include_trivial = false;
   cfg.seed = 1234;
-  cfg.lazy_ranking = true;
-  cfg.lazy_window = 7;
+  cfg.selection = core::SelectionRule::kProjection;
+  cfg.parallel = ParallelConfig::with_threads(3);
   const spectral::EmbeddingOptions e = cfg.embedding_options();
   EXPECT_EQ(e.count, 12u);
   EXPECT_TRUE(e.skip_trivial);
   const core::MeloOrderingOptions o = cfg.ordering_options(2);
-  EXPECT_TRUE(o.lazy_ranking);
-  EXPECT_EQ(o.lazy_window, 7u);
+  EXPECT_EQ(o.selection, core::SelectionRule::kProjection);
+  EXPECT_EQ(o.parallel.num_threads, 3u);
   EXPECT_EQ(o.start_rank, 2u);
 }
 
