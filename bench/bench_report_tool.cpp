@@ -215,14 +215,13 @@ int main(int argc, char** argv) {
       const std::size_t n = smoke ? scaled(2000) : scaled(20000);
       const linalg::SymCsrMatrix q = graph::build_laplacian(model::clique_expand(
           make_netlist(n), model::NetModel::kPartitioningSpecific));
-      const linalg::SolverOptions sopts;
       const std::uint64_t seed = 0x3E10ULL;
 
       multilevel::MultilevelStats stats;
       KernelResult r{"multilevel", "n=" + std::to_string(n) +
                                        " d=10 serial=flat parallel=vcycle"};
       attach_counters(r, multilevel::multilevel_solve_smallest(
-                             q, 10, seed, sopts, serial, nullptr, &stats));
+                             q, 10, seed, serial, nullptr, &stats));
       r.has_multilevel = true;
       r.levels = stats.levels;
       r.coarsening_ratio = stats.coarsening_ratio;
@@ -245,8 +244,7 @@ int main(int argc, char** argv) {
         std::vector<double> samples;
         for (int rep = 0; rep < 3; ++rep) {
           multilevel::MultilevelStats s;
-          multilevel::multilevel_solve_smallest(q, 10, seed, sopts, p,
-                                                nullptr, &s);
+          multilevel::multilevel_solve_smallest(q, 10, seed, p, nullptr, &s);
           samples.push_back(s.refine_seconds);
         }
         std::sort(samples.begin(), samples.end());

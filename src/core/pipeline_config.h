@@ -60,9 +60,8 @@ struct PipelineConfig {
   /// Diversified orderings: run r uses the (r+1)-th longest vector as the
   /// seed vertex; the best split across runs wins.
   std::size_t num_starts = 1;
-  /// Eigensolve configuration: tolerance, dense threshold / fallback
-  /// limit, iteration caps, strategy (flat | multilevel). The former
-  /// top-level dense_threshold / dense_fallback_limit knobs live inside.
+  /// Eigensolve configuration: dense threshold / fallback limit and
+  /// strategy (flat | multilevel).
   SolverOptions solver;
   /// Which symmetric operator the spectral pipeline optimizes
   /// (linalg/objective.h): the paper's unnormalized min-cut Laplacian

@@ -3,6 +3,7 @@
 #include <mutex>
 #include <utility>
 
+#include "multilevel/vcycle.h"
 #include "util/stringutil.h"
 #include "util/timer.h"
 
@@ -60,7 +61,6 @@ EmbeddingCache::EmbeddingCache(EmbeddingCacheOptions opts)
     storage::StoreOptions store;
     store.dir = opts_.cache_dir;
     store.budget_bytes = opts_.disk_budget_bytes;
-    store.chunk_cols = opts_.disk_chunk_cols;
     disk_ = std::make_unique<storage::StoreIndex>(std::move(store));
   }
 }
@@ -96,24 +96,26 @@ Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
     hs.mix_span(pins);
     hs.mix_double(h.net_weight(e));
   }
-  // Solver options: anything that can change the returned bits. The
-  // solver token and the 0 below are constants that keep the pre-existing
-  // key domain (they once held the backend token and the block width).
+  // Solver options and constants: anything that can change the returned
+  // bits. The solver token and the 0s are constants that keep the
+  // pre-existing key domain: they once held the backend token, the Krylov
+  // cap setting, the block width and the refinement sweep cap setting,
+  // whose values were always the 0 mixed here.
   hs.mix_bool(opts.skip_trivial);
   hs.mix_string(kSolverToken);
   hs.mix_size(opts.solver.dense_threshold);
   hs.mix_size(opts.solver.dense_fallback_limit);
-  hs.mix_double(opts.solver.tolerance);
-  hs.mix_size(opts.solver.max_iterations);
+  hs.mix_double(linalg::kSolverTolerance);
   hs.mix_size(0);
-  // Strategy + V-cycle knobs: a flat-solved and a multilevel-solved basis
-  // agree only to the refine tolerance, never bitwise, so a flat-warmed
-  // cache must miss under strategy=multilevel and vice versa.
+  hs.mix_size(0);
+  // Strategy + V-cycle constants: a flat-solved and a multilevel-solved
+  // basis agree only to the refine tolerance, never bitwise, so a
+  // flat-warmed cache must miss under strategy=multilevel and vice versa.
   hs.mix_string(core::solver_strategy_token(opts.solver.strategy));
-  hs.mix_size(opts.solver.ml_coarsest_size);
-  hs.mix_size(opts.solver.ml_refine_degree);
-  hs.mix_size(opts.solver.ml_refine_sweeps);
-  hs.mix_double(opts.solver.ml_refine_tolerance);
+  hs.mix_size(multilevel::kCoarsestSize);
+  hs.mix_size(multilevel::kRefineDegree);
+  hs.mix_size(0);
+  hs.mix_double(multilevel::kRefineTolerance);
   // Objective model: normalized and unnormalized bases are spectra of
   // different operators, so an unnormalized-warmed cache must miss under
   // objective=normalized. Gated so default keys are bit-identical to the

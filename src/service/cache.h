@@ -6,9 +6,10 @@
 // method, every weighting scheme, every k consumes the same basis. The
 // cache therefore keys on a fingerprint of exactly what the eigensolve
 // depends on — the hypergraph's pin lists and net weights, the net-model
-// token and size filter, the trivial-pair accounting, the solver
-// seed/tolerance/thresholds, strategy and objective (netlist_key) — and
-// deliberately NOT on the request's weighting scheme, split method or k.
+// token and size filter, the trivial-pair accounting, the solver seed,
+// dense thresholds, strategy and objective, plus the solver's fixed
+// tolerance and V-cycle constants (netlist_key) — and deliberately NOT on
+// the request's weighting scheme, split method or k.
 // The key is computed from the hypergraph alone, so a hit never expands
 // the clique model.
 //
@@ -70,9 +71,9 @@ struct EmbeddingCacheOptions {
   /// a build without src/storage.
   std::string cache_dir;
   /// Byte budget of the tier-2 directory; LRU files beyond it are deleted.
+  /// Spilled files are written storage::kDefaultChunkCols columns per
+  /// chunk.
   std::size_t disk_budget_bytes = 1ull << 30;
-  /// Columns per chunk of newly spilled basis files.
-  std::size_t disk_chunk_cols = storage::kDefaultChunkCols;
 };
 
 /// Monotonic counters; snapshot-consistent (taken under the cache lock).
@@ -135,11 +136,12 @@ class EmbeddingCache {
 
   /// Content key of one eigensolve: fingerprint of the pin lists + net
   /// weights + net-model token + max_net_size, the trivial-pair
-  /// accounting, seed, tolerance, thresholds, strategy, objective and the
-  /// quantized solve dimension. Computable without expanding the model, so
-  /// a hit never pays for clique expansion. Hypergraphs that differ only
-  /// in <2-pin nets expand identically but key differently — a spurious
-  /// miss, never a false hit. Exposed for tests.
+  /// accounting, seed, thresholds, strategy, objective, the solver
+  /// constants and the quantized solve dimension. Computable without
+  /// expanding the model, so a hit never pays for clique expansion.
+  /// Hypergraphs that differ only in <2-pin nets expand identically but
+  /// key differently — a spurious miss, never a false hit. Exposed for
+  /// tests.
   static Fingerprint netlist_key(const graph::Hypergraph& h,
                                  model::NetModel net_model,
                                  std::size_t max_net_size,

@@ -27,19 +27,19 @@ struct SolveWork {
   std::uint64_t ritz_checks = 0;  // flat attempts only
 };
 
-/// Runs one flat Lanczos attempt, adds its work to `work` and records its
-/// internal recoveries. SolverOptions maps onto LanczosOptions field for
-/// field; `seed` is per attempt (the fallback chain reseeds).
+/// Runs one flat Lanczos attempt with Krylov cap `max_iterations` (0 =
+/// the solver's automatic cap), adds its work to `work` and records its
+/// internal recoveries.
 linalg::LanczosResult run_attempt(const linalg::SymCsrMatrix& q,
                                   std::size_t want, std::uint64_t seed,
-                                  const linalg::SolverOptions& sopts,
+                                  std::size_t max_iterations,
                                   const ParallelConfig& parallel,
                                   ComputeBudget* budget, Diagnostics* diag,
                                   SolveWork& work) {
   linalg::LanczosOptions lopts;
   lopts.num_eigenpairs = want;
-  lopts.max_iterations = sopts.max_iterations;
-  lopts.tolerance = sopts.tolerance;
+  lopts.max_iterations = max_iterations;
+  lopts.tolerance = linalg::kSolverTolerance;
   lopts.seed = seed;
   lopts.budget = budget;
   lopts.parallel = parallel;
@@ -84,22 +84,20 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
     converged = true;
     num_converged = values.size();
   } else {
-    linalg::SolverOptions sopts = opts.solver;
-    std::uint64_t seed = opts.seed;
-
+    const linalg::SolverOptions& sopts = opts.solver;
     linalg::LanczosResult result;
     bool have_result = false;
     if (sopts.strategy == linalg::SolverStrategy::kMultilevel) {
       // The V-cycle replaces the first flat attempt. Its converged flag is
-      // governed by ml_refine_tolerance (a quasi-continuum spectrum caps
-      // what Chebyshev filtering can certify); when it is unmet the flat
-      // chain below runs from scratch — the strategy is an accelerator,
-      // never a correctness risk.
+      // governed by multilevel::kRefineTolerance (a quasi-continuum
+      // spectrum caps what Chebyshev filtering can certify); when it is
+      // unmet the flat chain below runs from scratch — the strategy is an
+      // accelerator, never a correctness risk.
       multilevel::MultilevelStats mstats;
       const bool galerkin_general =
           opts.objective != linalg::ObjectiveModel::kUnnormalized;
       result = multilevel::multilevel_solve_smallest(
-          q, want, seed, sopts, opts.parallel, budget, &mstats,
+          q, want, opts.seed, opts.parallel, budget, &mstats,
           galerkin_general);
       work.flops += result.flops;
       work.bytes_moved += result.matrix_bytes_moved;
@@ -117,54 +115,40 @@ EigenBasis eigenbasis_of_laplacian(const linalg::SymCsrMatrix& q,
                                 result.num_converged, want));
     }
     if (!have_result)
-      result = run_attempt(q, want, seed, sopts, opts.parallel, budget, diag,
+      result = run_attempt(q, want, opts.seed, 0, opts.parallel, budget, diag,
                            work);
 
-    // Hardened fallback chain for clustered / pathological spectra. Each
-    // escalation is recorded; an exhausted budget short-circuits to the
-    // best-so-far basis.
-    enum class Step { kReseed, kEnlarge, kDense, kTruncate };
-    Step step = Step::kReseed;
-    bool dense_solved = false;
-    while (!result.converged && !result.budget_exhausted &&
-           budget_ok(budget)) {
-      if (step == Step::kReseed) {
-        note_fallback(diag, "eigensolver did not converge; reseeded restart");
-        seed = seed * 0x9E3779B97F4A7C15ULL + 1;
-        result = run_attempt(q, want, seed, sopts, opts.parallel, budget,
-                             diag, work);
-        step = Step::kEnlarge;
-      } else if (step == Step::kEnlarge) {
-        sopts.max_iterations =
-            std::min(n, std::max<std::size_t>(result.iterations * 2, 160));
-        note_fallback(diag, strprintf("enlarged Krylov space to %zu",
-                                      sopts.max_iterations));
-        result = run_attempt(q, want, seed, sopts, opts.parallel, budget,
-                             diag, work);
-        step = Step::kDense;
-      } else if (step == Step::kDense) {
-        if (sopts.dense_fallback_limit > 0 &&
-            n <= sopts.dense_fallback_limit) {
-          note_fallback(
-              diag, strprintf("dense eigensolver fallback (n = %zu above "
-                              "dense_threshold = %zu)",
-                              n, sopts.dense_threshold));
-          linalg::EigenDecomposition dec =
-              linalg::solve_symmetric_eigen_smallest(q.to_dense(), want);
-          values = std::move(dec.values);
-          vectors = std::move(dec.vectors);
-          converged = true;
-          num_converged = values.size();
-          dense_solved = true;
-          break;
-        }
-        step = Step::kTruncate;
-      } else {  // Step::kTruncate — terminal: degrade, never abort.
-        break;
-      }
+    // Fallback chain for clustered / pathological spectra: one reseeded
+    // retry with twice the first attempt's Krylov columns, then the dense
+    // solve, then truncation to the converged prefix. The retry also
+    // returns what a reseeded run at the first cap would have: fixed-seed
+    // Lanczos is prefix-deterministic and checks convergence at every step
+    // a shorter run checks. Each escalation is recorded; an exhausted
+    // budget short-circuits to the best-so-far basis.
+    const auto keep_going = [&] {
+      return !result.converged && !result.budget_exhausted &&
+             budget_ok(budget);
+    };
+    if (keep_going()) {
+      const std::size_t cap = std::min(n, 2 * result.iterations);
+      note_fallback(diag, strprintf("eigensolver did not converge; reseeded "
+                                    "retry in a %zu-column Krylov space",
+                                    cap));
+      result = run_attempt(q, want, opts.seed * 0x9E3779B97F4A7C15ULL + 1,
+                           cap, opts.parallel, budget, diag, work);
     }
-
-    if (!dense_solved) {
+    if (keep_going() && sopts.dense_fallback_limit > 0 &&
+        n <= sopts.dense_fallback_limit) {
+      note_fallback(diag, strprintf("dense eigensolver fallback (n = %zu above "
+                                    "dense_threshold = %zu)",
+                                    n, sopts.dense_threshold));
+      linalg::EigenDecomposition dec =
+          linalg::solve_symmetric_eigen_smallest(q.to_dense(), want);
+      values = std::move(dec.values);
+      vectors = std::move(dec.vectors);
+      converged = true;
+      num_converged = values.size();
+    } else {
       if (result.budget_exhausted && diag != nullptr)
         diag->mark_budget_exhausted(kStage);
       basis.budget_exhausted = result.budget_exhausted;

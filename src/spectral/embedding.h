@@ -2,13 +2,14 @@
 //
 // Chooses between the exact dense solver (small graphs, test oracles) and
 // Lanczos (everything else), optionally preceded by the multilevel
-// V-cycle. The Lanczos path is wrapped in a hardened fallback chain —
-// reseeded restart, enlarged Krylov space, dense solve even above the
-// threshold, and finally truncation to the converged eigenpair prefix —
-// so a clustered spectrum degrades the basis gracefully instead of
-// aborting the pipeline. Every recovery step is recorded in the optional
-// Diagnostics sink. All spectral heuristics (SB, RSB, KP, SFC, MELO) get
-// their eigenvectors from here.
+// V-cycle. The Lanczos path is wrapped in a fallback chain — one
+// reseeded retry with twice the first attempt's Krylov columns, a dense
+// solve even above the threshold (n <= dense_fallback_limit), and finally
+// truncation to the converged eigenpair prefix — so a clustered spectrum
+// degrades the basis gracefully instead of aborting the pipeline. Every
+// recovery step is recorded in the optional Diagnostics sink. All
+// spectral heuristics (SB, RSB, KP, SFC, MELO) get their eigenvectors
+// from here.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +33,8 @@ struct EmbeddingOptions {
   /// Drop the trivial first pair and return the `count` pairs after it.
   bool skip_trivial = false;
   std::uint64_t seed = 0xABCDEFULL;
-  /// The one solver-configuration struct: tolerance, dense threshold /
-  /// fallback limit, iteration caps, flat or multilevel strategy.
-  /// Replaces the former per-field knobs (dense_threshold, tolerance,
-  /// dense_fallback_limit) that every caller re-plumbed separately.
+  /// The one solver-configuration struct: dense threshold / fallback
+  /// limit and the flat or multilevel strategy.
   linalg::SolverOptions solver;
   /// Compute-kernel threading, forwarded to the iterative solvers (the
   /// dense oracle stays serial). See LanczosOptions::parallel.

@@ -153,8 +153,7 @@ bool StoreIndex::store(const Fingerprint& key,
   // write identical bytes, so last-rename-wins is harmless.
   const std::string tmp = path + std::string(kTempSuffix);
   try {
-    write_basis_file(tmp, key, basis, strategy_token, objective_token,
-                     opts_.chunk_cols);
+    write_basis_file(tmp, key, basis, strategy_token, objective_token);
   } catch (const Error&) {
     std::error_code ec;
     fs::remove(tmp, ec);  // a failed write must not leave debris
@@ -181,8 +180,8 @@ bool StoreIndex::store(const Fingerprint& key,
     return false;
   }
 
-  const std::size_t bytes = basis_file_size(
-      basis.n, basis.dimension(), opts_.chunk_cols);
+  const std::size_t bytes =
+      basis_file_size(basis.n, basis.dimension(), kDefaultChunkCols);
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.find(key) == entries_.end()) {
     lru_.push_front(key);

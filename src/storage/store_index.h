@@ -40,10 +40,9 @@ struct StoreOptions {
   /// Directory holding the basis files; created (recursively) on open.
   std::string dir;
   /// Byte budget over the stored files; exceeding it evicts LRU entries.
+  /// New files are written kDefaultChunkCols columns per chunk (reads
+  /// honor whatever the file's header says).
   std::size_t budget_bytes = 1ull << 30;
-  /// Columns per chunk for newly written files (reads honor whatever the
-  /// file's header says).
-  std::size_t chunk_cols = kDefaultChunkCols;
 };
 
 /// Monotonic counters; snapshot-consistent (taken under the index lock).

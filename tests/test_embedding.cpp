@@ -1,8 +1,13 @@
 // Tests for the spectral embedding driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "graph/generator.h"
 #include "graph/graph.h"
 #include "graph/laplacian.h"
 #include "linalg/lanczos.h"
@@ -105,13 +110,81 @@ TEST(Embedding, SolveCountersMatchTheLanczosRun) {
   linalg::LanczosOptions direct;
   direct.num_eigenpairs = opts.count;
   direct.seed = opts.seed;
-  direct.tolerance = opts.solver.tolerance;
+  direct.tolerance = linalg::kSolverTolerance;
   const linalg::LanczosResult r =
       linalg::lanczos_smallest(graph::build_laplacian(g), direct);
   EXPECT_GT(r.ritz_checks, 0u);
   EXPECT_EQ(diag.counter("eigensolve", "krylov_dim"), r.iterations);
   EXPECT_EQ(diag.counter("eigensolve", "ritz_checks"), r.ritz_checks);
   EXPECT_EQ(diag.counter("eigensolve", "flops"), r.flops);
+}
+
+/// Clique-model Laplacian of a generated netlist: n modules, n + n/4 nets,
+/// 10 planted clusters, seed 7.
+linalg::SymCsrMatrix netlist_laplacian(std::size_t n) {
+  graph::GeneratorConfig cfg;
+  cfg.num_modules = n;
+  cfg.num_nets = n + n / 4;
+  cfg.num_clusters = 10;
+  cfg.seed = 7;
+  return model::build_clique_laplacian(
+      graph::generate_netlist(cfg), model::NetModel::kPartitioningSpecific);
+}
+
+TEST(Embedding, ReseededRetryIsOneDoubledLanczosRun) {
+  // Instances whose first Lanczos attempt (automatic cap M) fails. The
+  // fallback chain's one retry must return exactly what a direct run with
+  // the reseeded seed and cap min(n, 2M) returns, bit for bit, at a cost of
+  // M + c Krylov columns, where c is the step at which the retry converges.
+  struct Case {
+    std::size_t n;
+    std::size_t count;
+    std::size_t first_cap;     // M = min(n, max(20 * count + 120, 200))
+    std::size_t converged_at;  // c
+  };
+  constexpr Case kCases[] = {{1500, 6, 240, 240}, {2000, 11, 340, 380}};
+  for (const Case& c : kCases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n));
+    const linalg::SymCsrMatrix q = netlist_laplacian(c.n);
+    EmbeddingOptions opts;
+    opts.count = c.count;
+    opts.seed = 0x3E10ULL;
+    opts.parallel = ParallelConfig::with_threads(1);
+
+    linalg::LanczosOptions direct;
+    direct.num_eigenpairs = c.count;
+    direct.tolerance = linalg::kSolverTolerance;
+    direct.parallel = opts.parallel;
+    direct.seed = opts.seed;
+    const linalg::LanczosResult first = linalg::lanczos_smallest(q, direct);
+    ASSERT_FALSE(first.converged);
+    ASSERT_EQ(first.iterations, c.first_cap);
+
+    direct.seed = opts.seed * 0x9E3779B97F4A7C15ULL + 1;
+    direct.max_iterations = std::min(c.n, 2 * c.first_cap);
+    const linalg::LanczosResult retry = linalg::lanczos_smallest(q, direct);
+    ASSERT_TRUE(retry.converged);
+    EXPECT_EQ(retry.iterations, c.converged_at);
+
+    Diagnostics diag;
+    const EigenBasis basis = compute_eigenbasis(q, opts, &diag);
+    ASSERT_TRUE(basis.converged);
+    ASSERT_EQ(basis.values.size(), retry.values.size());
+    for (std::size_t j = 0; j < basis.values.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(basis.values[j]),
+                std::bit_cast<std::uint64_t>(retry.values[j]))
+          << "value " << j;
+      for (std::size_t i = 0; i < c.n; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(basis.vectors.at(i, j)),
+                  std::bit_cast<std::uint64_t>(retry.vectors.at(i, j)))
+            << "vector " << j << " row " << i;
+    }
+    EXPECT_EQ(diag.total_fallbacks(), 1u);
+    EXPECT_EQ(diag.counter("eigensolve", "krylov_dim"),
+              c.first_cap + c.converged_at);
+    EXPECT_EQ(diag.counter("eigensolve", "ritz_checks"),
+              first.ritz_checks + retry.ritz_checks);
+  }
 }
 
 TEST(Embedding, CountClampedToN) {

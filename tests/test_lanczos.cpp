@@ -3,7 +3,10 @@
 // (repeated zero eigenvalues exercise the invariant-subspace restart).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "graph/generator.h"
@@ -200,6 +203,52 @@ TEST(LanczosPinned, IterationsAndConvergenceUnchanged) {
     EXPECT_EQ(r.num_converged, pin.num_converged) << label;
     EXPECT_EQ(r.ritz_checks, pin.ritz_checks) << label;
     EXPECT_EQ(r.values.size(), pin.pairs) << label;
+  }
+}
+
+TEST(LanczosPinned, DoublingTheCapKeepsAConvergedRun) {
+  // Fixed-seed Lanczos is prefix-deterministic: a run with a larger cap
+  // builds the same Krylov basis step for step, and checks convergence at
+  // every step the capped run checked (the automatic cap is a multiple of
+  // 10 or n). So a run that converges under its cap returns the same bits
+  // under twice that cap. The embedding fallback chain's single retry
+  // rests on this.
+  for (const PinnedSolve& pin : kPinnedSolves) {
+    if (!pin.converged) continue;
+    graph::GeneratorConfig cfg;
+    cfg.num_modules = pin.n;
+    cfg.num_nets = pin.n + pin.n / 4;
+    cfg.num_clusters = 10;
+    cfg.seed = 7;
+    SymCsrMatrix q = graph::build_laplacian(model::clique_expand(
+        graph::generate_netlist(cfg), model::NetModel::kPartitioningSpecific));
+    if (pin.normalized) q = normalized_laplacian(q);
+    const std::string label =
+        "n=" + std::to_string(pin.n) +
+        (pin.normalized ? " normalized" : " unnormalized") +
+        " pairs=" + std::to_string(pin.pairs);
+    LanczosOptions opts;
+    opts.num_eigenpairs = pin.pairs;
+    const LanczosResult capped = lanczos_smallest(q, opts);
+    const std::size_t automatic_cap =
+        std::min(pin.n, std::max<std::size_t>(20 * pin.pairs + 120, 200));
+    opts.max_iterations = 2 * automatic_cap;
+    const LanczosResult doubled = lanczos_smallest(q, opts);
+    ASSERT_TRUE(capped.converged) << label;
+    EXPECT_TRUE(doubled.converged) << label;
+    EXPECT_EQ(doubled.iterations, capped.iterations) << label;
+    EXPECT_EQ(doubled.ritz_checks, capped.ritz_checks) << label;
+    EXPECT_EQ(doubled.num_converged, capped.num_converged) << label;
+    ASSERT_EQ(doubled.values.size(), capped.values.size()) << label;
+    for (std::size_t j = 0; j < capped.values.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(doubled.values[j]),
+                std::bit_cast<std::uint64_t>(capped.values[j]))
+          << label << " value " << j;
+      for (std::size_t i = 0; i < q.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(doubled.vectors.at(i, j)),
+                  std::bit_cast<std::uint64_t>(capped.vectors.at(i, j)))
+            << label << " vector " << j << " row " << i;
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 #include "linalg/objective.h"
 #include "model/assembly.h"
 #include "model/clique_models.h"
+#include "multilevel/vcycle.h"
 #include "part/fm.h"
 #include "part/ordering.h"
 #include "part/sweep_cut.h"
@@ -415,7 +416,7 @@ TEST(NormalizedSolve, FlatAndMultilevelAgreeAndThreadsAreBitIdentical) {
   ASSERT_EQ(fb.dimension(), mb.dimension());
   for (std::size_t j = 0; j < fb.dimension(); ++j)
     EXPECT_NEAR(fb.values[j], mb.values[j],
-                ml.solver.ml_refine_tolerance * std::max(1.0, fb.values[j]))
+                multilevel::kRefineTolerance * std::max(1.0, fb.values[j]))
         << "eigenvalue " << j;
 
   // The V-cycle over the normalized operator (general Galerkin coarse

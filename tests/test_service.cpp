@@ -134,10 +134,6 @@ TEST(Cache, SolverStrategiesLiveInDisjointKeyDomains) {
   spectral::EmbeddingOptions ml = e;
   ml.solver.strategy = linalg::SolverStrategy::kMultilevel;
   EXPECT_NE(key_of(h, e), key_of(h, ml));
-  // The multilevel tuning knobs are content too.
-  spectral::EmbeddingOptions tuned = ml;
-  tuned.solver.ml_refine_degree += 1;
-  EXPECT_NE(key_of(h, ml), key_of(h, tuned));
 
   // End to end: a cache warmed by a flat request must miss when the same
   // netlist arrives with strategy=multilevel.
