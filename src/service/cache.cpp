@@ -35,9 +35,12 @@ spectral::EigenBasis slice_basis(const spectral::EigenBasis& full,
   return out;
 }
 
-/// Solver token mixed into every key. It is the former default backend's
-/// token, so keys written before stay valid.
-constexpr std::string_view kSolverToken = "scalar";
+/// Solver token mixed into every key. It names the eigensolver whose bits
+/// a basis holds (the Chebyshev-filtered Lanczos solve), so a tier-2 store
+/// never serves a basis spilled by a build with another solver next to a
+/// cold solve from this one; such files miss and age out under the store's
+/// LRU budget.
+constexpr std::string_view kSolverToken = "chebyshev20";
 
 /// Strategy token of the options that produce a basis, recorded in the
 /// spilled file header for operators inspecting a store directory.
@@ -97,10 +100,9 @@ Fingerprint EmbeddingCache::netlist_key(const graph::Hypergraph& h,
     hs.mix_double(h.net_weight(e));
   }
   // Solver options and constants: anything that can change the returned
-  // bits. The solver token and the 0s are constants that keep the
-  // pre-existing key domain: they once held the backend token, the Krylov
-  // cap setting, the block width and the refinement sweep cap setting,
-  // whose values were always the 0 mixed here.
+  // bits. The 0s are constants that keep the key layout: they once held
+  // the Krylov cap setting, the block width and the refinement sweep cap
+  // setting, whose values were always the 0 mixed here.
   hs.mix_bool(opts.skip_trivial);
   hs.mix_string(kSolverToken);
   hs.mix_size(opts.solver.dense_threshold);

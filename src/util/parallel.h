@@ -3,20 +3,17 @@
 //
 // Every threaded hot path in the library (the MELO snapshot refresh, Lanczos
 // SpMV and reorthogonalization panels, the k-means assignment step)
-// funnels through these two primitives. Two contracts matter more than
-// raw speed:
+// funnels through these two primitives. One contract matters more than raw
+// speed:
 //
-//  1. *Fixed-block determinism.* A range [begin, end) is always split into
-//     the same blocks — block boundaries depend only on the range length
-//     and the grain, never on the thread count — and parallel_reduce
-//     combines block partials in ascending block order on the calling
-//     thread. Floating-point reductions therefore produce bit-identical
-//     results for 1, 2 or 64 threads; only the wall-clock changes.
-//
-//  2. *Serial reference.* ParallelConfig{.num_threads = 1} is the default
-//     everywhere. Call sites keep their original serial loops on that path
-//     (byte-identical to the pre-parallel implementation) and switch to the
-//     blocked kernels only when more than one thread is requested.
+//    *Fixed-block determinism: bit-identical at every thread count,
+//    including 1.* A range [begin, end) is always split into the same
+//    blocks — block boundaries depend only on the range length and the
+//    grain, never on the thread count — and parallel_reduce combines block
+//    partials in ascending block order on the calling thread. Call sites
+//    run these blocked kernels at one thread too, with no separate serial
+//    loop, so floating-point reductions produce the same bits for 1, 2 or
+//    64 threads; only the wall-clock changes.
 //
 // The pool is a lazily-created process-wide singleton; workers sleep on a
 // condition variable between jobs, and the calling thread always
@@ -36,8 +33,8 @@ namespace specpart {
 /// (MeloOrderingOptions, LanczosOptions, KmeansOptions, ...).
 struct ParallelConfig {
   /// Worker threads to use (including the calling thread).
-  ///   1 = serial reference path (the default; byte-identical to the seed
-  ///       implementation), 0 = auto: $SPECPART_THREADS if set, otherwise
+  ///   1 = run every block on the calling thread (the default),
+  ///   0 = auto: $SPECPART_THREADS if set, otherwise
   ///       std::thread::hardware_concurrency().
   std::size_t num_threads = 1;
   /// Minimum elements per reduction block. Part of the determinism
@@ -47,8 +44,6 @@ struct ParallelConfig {
 
   /// Resolved thread count (>= 1); see num_threads.
   std::size_t threads() const;
-
-  bool serial() const { return threads() <= 1; }
 
   /// Convenience constructor for "n threads, default grain".
   static ParallelConfig with_threads(std::size_t n) {

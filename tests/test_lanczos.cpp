@@ -139,6 +139,100 @@ TEST(Lanczos, LargerGraphConverges) {
   }
 }
 
+/// Largest ||A x_j - theta_j x_j|| over the returned pairs, in units of
+/// the solver's acceptance scale tolerance * Gershgorin bound.
+double worst_residual_ratio(const SymCsrMatrix& q, const LanczosResult& r,
+                            double tolerance) {
+  double worst = 0.0;
+  for (std::size_t j = 0; j < r.values.size(); ++j) {
+    const Vec x = r.vectors.col(j);
+    Vec qx = q.matvec(x);
+    axpy(-r.values[j], x, qx);
+    worst = std::max(worst, norm(qx) / (tolerance * q.gershgorin_upper()));
+  }
+  return worst;
+}
+
+TEST(LanczosFiltered, DisconnectedLaplacianMeetsResidualBound) {
+  // Eighty identical components of 5 vertices: every eigenvalue, zero
+  // included, is eightyfold, so p(A) has an eightyfold top eigenvalue and
+  // a Krylov space from one start vector is invariant after at most 5
+  // steps, which forces breakdown restarts in the probe and the filtered
+  // run. Every returned pair must be an eigenpair of A to the acceptance
+  // bound; here the restarts also find all ten copies of zero.
+  constexpr std::size_t kParts = 80;
+  constexpr std::size_t kSize = 5;
+  Rng rng(11);
+  std::vector<graph::Edge> component;
+  for (std::size_t v = 1; v < kSize; ++v)
+    component.push_back({static_cast<graph::NodeId>(rng.next_below(v)),
+                         static_cast<graph::NodeId>(v),
+                         0.5 + rng.next_double()});
+  for (std::size_t e = 0; e < 2 * kSize; ++e) {
+    const auto u = static_cast<graph::NodeId>(rng.next_below(kSize));
+    const auto v = static_cast<graph::NodeId>(rng.next_below(kSize));
+    if (u != v) component.push_back({u, v, 0.5 + rng.next_double()});
+  }
+  std::vector<graph::Edge> edges;
+  for (std::size_t c = 0; c < kParts; ++c)
+    for (const graph::Edge& e : component)
+      edges.push_back({static_cast<graph::NodeId>(c * kSize + e.u),
+                       static_cast<graph::NodeId>(c * kSize + e.v), e.weight});
+  const SymCsrMatrix q =
+      graph::build_laplacian(graph::Graph(kParts * kSize, edges));
+  LanczosOptions opts;
+  opts.num_eigenpairs = 10;
+  const LanczosResult r = lanczos_smallest(q, opts);
+  ASSERT_TRUE(r.converged);
+  ASSERT_EQ(r.values.size(), 10u);
+  EXPECT_GT(r.breakdown_restarts, 0u);
+  EXPECT_LE(worst_residual_ratio(q, r, opts.tolerance), 1.0);
+  for (std::size_t j = 0; j < 10; ++j)
+    EXPECT_NEAR(r.values[j], 0.0, 1e-8) << "pair " << j;
+}
+
+TEST(LanczosFiltered, StarGraphMeetsResidualBound) {
+  // Star on 500 vertices: spectrum {0, 1 (498 times), 500}. The wanted
+  // pairs sit in a 498-fold eigenvalue equal to the probe's cutoff Ritz
+  // value, and the probe breaks down after three steps.
+  constexpr std::size_t n = 500;
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId v = 1; v < n; ++v) edges.push_back({0, v, 1.0});
+  const SymCsrMatrix q = graph::build_laplacian(graph::Graph(n, edges));
+  LanczosOptions opts;
+  opts.num_eigenpairs = 6;
+  const LanczosResult r = lanczos_smallest(q, opts);
+  ASSERT_TRUE(r.converged);
+  ASSERT_EQ(r.values.size(), 6u);
+  EXPECT_GT(r.breakdown_restarts, 0u);
+  EXPECT_LE(worst_residual_ratio(q, r, opts.tolerance), 1.0);
+  EXPECT_NEAR(r.values[0], 0.0, 1e-8);
+  for (std::size_t j = 1; j < 6; ++j)
+    EXPECT_NEAR(r.values[j], 1.0, 1e-8) << "pair " << j;
+}
+
+TEST(LanczosFiltered, JustAboveDenseThresholdMeetsResidualBound) {
+  // n = SolverOptions::dense_threshold + 1, the smallest embedding solve
+  // that reaches Lanczos.
+  graph::GeneratorConfig cfg;
+  cfg.num_modules = 321;
+  cfg.num_nets = 321 + 321 / 4;
+  cfg.num_clusters = 10;
+  cfg.seed = 7;
+  const SymCsrMatrix q = graph::build_laplacian(model::clique_expand(
+      graph::generate_netlist(cfg), model::NetModel::kPartitioningSpecific));
+  LanczosOptions opts;
+  opts.num_eigenpairs = 11;
+  opts.tolerance = 1e-8;
+  const LanczosResult r = lanczos_smallest(q, opts);
+  ASSERT_TRUE(r.converged);
+  ASSERT_EQ(r.values.size(), 11u);
+  EXPECT_LE(worst_residual_ratio(q, r, opts.tolerance), 1.0);
+  const EigenDecomposition exact = solve_symmetric_eigen(q.to_dense());
+  for (std::size_t j = 0; j < 11; ++j)
+    EXPECT_NEAR(r.values[j], exact.values[j], 1e-7) << "pair " << j;
+}
+
 TEST(LanczosLargestOp, DiagonalOperator) {
   // B = diag(1..8): largest eigenpairs are 8, 7, 6.
   const std::size_t n = 8;
@@ -166,19 +260,19 @@ struct PinnedSolve {
   bool converged;
   std::size_t num_converged;
   std::size_t ritz_checks;
+  std::size_t operator_applies;
 };
 
-// The convergence-check schedule and decision rule, pinned: the values are
-// those of the original implementation, which rebuilt T's full eigenvector
-// matrix at every check. Any change to when the solver checks, or to what
-// it decides, shows up here. The n=2000 unnormalized run does not
-// converge: 5 of 6 pairs meet the tolerance at the 240-step cap, after 24
-// scheduled checks and the final one that every unconverged run makes.
+// The convergence-check schedule and decision rule of the Chebyshev-
+// filtered solve, pinned: filtered Krylov steps, Ritz checks (every 10
+// steps) and operator applies (40 probe steps, 20 SpMVs per filtered step,
+// `pairs` per Rayleigh-Ritz on A). Any change to the probe, the filter,
+// when the solver checks or what it decides shows up here.
 constexpr PinnedSolve kPinnedSolves[] = {
-    {1000, false, 6, 220, true, 6, 22},
-    {1000, true, 11, 140, true, 11, 13},
-    {2000, false, 6, 240, false, 5, 25},
-    {2000, true, 6, 140, true, 6, 14},
+    {1000, false, 6, 40, true, 6, 4, 846},
+    {1000, true, 11, 30, true, 11, 2, 651},
+    {2000, false, 6, 60, true, 6, 6, 1246},
+    {2000, true, 6, 20, true, 6, 2, 446},
 };
 
 TEST(LanczosPinned, IterationsAndConvergenceUnchanged) {
@@ -202,6 +296,9 @@ TEST(LanczosPinned, IterationsAndConvergenceUnchanged) {
     EXPECT_EQ(r.converged, pin.converged) << label;
     EXPECT_EQ(r.num_converged, pin.num_converged) << label;
     EXPECT_EQ(r.ritz_checks, pin.ritz_checks) << label;
+    EXPECT_EQ(r.operator_applies, pin.operator_applies) << label;
+    EXPECT_EQ(r.matrix_bytes_moved, r.operator_applies * q.stream_bytes())
+        << label;
     EXPECT_EQ(r.values.size(), pin.pairs) << label;
   }
 }
@@ -210,11 +307,10 @@ TEST(LanczosPinned, DoublingTheCapKeepsAConvergedRun) {
   // Fixed-seed Lanczos is prefix-deterministic: a run with a larger cap
   // builds the same Krylov basis step for step, and checks convergence at
   // every step the capped run checked (the automatic cap is a multiple of
-  // 10 or n). So a run that converges under its cap returns the same bits
-  // under twice that cap. The embedding fallback chain's single retry
-  // rests on this.
+  // 10 or n; the probe and the filter do not depend on the cap). So a run
+  // that converges under its cap returns the same bits under twice that
+  // cap. The embedding fallback chain's single retry rests on this.
   for (const PinnedSolve& pin : kPinnedSolves) {
-    if (!pin.converged) continue;
     graph::GeneratorConfig cfg;
     cfg.num_modules = pin.n;
     cfg.num_nets = pin.n + pin.n / 4;

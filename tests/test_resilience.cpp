@@ -173,10 +173,10 @@ TEST(Resilience, SolveCountersSumOverFallbackAttempts) {
   EXPECT_TRUE(has_event(diag, "dense eigensolver fallback"));
   EXPECT_TRUE(basis.converged);
   // The first attempt and the reseeded retry each run to the whole space
-  // (m = n = 60), check at m = 10, 20, ..., 60 and once more after the
-  // loop; the dense fallback adds neither Krylov columns nor checks.
+  // (m = n = 60) and check at m = 10, 20, ..., 60; the dense fallback adds
+  // neither Krylov columns nor checks.
   EXPECT_EQ(diag.counter("eigensolve", "krylov_dim"), 2u * 60u);
-  EXPECT_EQ(diag.counter("eigensolve", "ritz_checks"), 2u * 7u);
+  EXPECT_EQ(diag.counter("eigensolve", "ritz_checks"), 2u * 6u);
 }
 
 TEST(Resilience, TruncationToConvergedPrefix) {
@@ -290,8 +290,40 @@ TEST(Resilience, IterationBudgetBoundsLanczos) {
   const auto r = linalg::lanczos_smallest(q, lopts);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_LE(r.iterations, 6u);
+  // The charge unit is one filtered Krylov step (20 SpMVs); the probe
+  // before the filtered run is a fixed 40 SpMVs and is not charged.
+  EXPECT_EQ(budget.iterations_used(), r.iterations);
   EXPECT_GE(r.values.size(), 1u);  // best-so-far pairs, never empty
   EXPECT_FALSE(r.converged);
+}
+
+TEST(Resilience, DeadlineBoundsLargeFilteredSolve) {
+  // An n=5000 unnormalized solve takes several times the deadline. The
+  // filtered run polls the budget once per Krylov step, so the call
+  // returns within the deadline plus one step and the closing
+  // Rayleigh-Ritz, with usable best-so-far pairs.
+  graph::GeneratorConfig cfg;
+  cfg.num_modules = 5000;
+  cfg.num_nets = 5000 + 5000 / 4;
+  cfg.num_clusters = 10;
+  cfg.seed = 7;
+  const linalg::SymCsrMatrix q = graph::build_laplacian(model::clique_expand(
+      graph::generate_netlist(cfg), model::NetModel::kPartitioningSpecific));
+  constexpr double kDeadline = 0.05;
+  ComputeBudget budget = ComputeBudget::with_deadline(kDeadline);
+  linalg::LanczosOptions lopts;
+  lopts.num_eigenpairs = 11;
+  lopts.tolerance = linalg::kSolverTolerance;
+  lopts.budget = &budget;
+  const Timer timer;
+  const auto r = linalg::lanczos_smallest(q, lopts);
+  EXPECT_LT(timer.seconds(), kDeadline + 1.0);
+  EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_FALSE(r.converged);
+  ASSERT_GE(r.values.size(), 1u);
+  const linalg::Vec x = r.vectors.col(0);
+  EXPECT_NEAR(linalg::norm(x), 1.0, 1e-12);
+  EXPECT_NEAR(r.values[0], linalg::dot(x, q.matvec(x)), 1e-9);
 }
 
 TEST(Resilience, BudgetedFmStaysBalanced) {
